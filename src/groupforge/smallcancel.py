@@ -11,6 +11,15 @@ double cosets for single-syllable matches), interior syllables exactly.  This
 end fuzz makes the metric stable under the carry moves that relate different
 reduced spellings of the same element.
 
+Both searches over span lengths (the piece metric and the decision
+procedure's relator match) find candidate spans by int64 keys.  Every class
+id gets a system-wide integer code; a span's key packs two polynomial
+fingerprints of its codes (left class, exact interior, right class), each
+modulo a prime below 2^31, computed for all spans of one length at once from
+prefix sums.  Equal signatures always give equal keys; a key hit is only a
+candidate, and every one is verified syllable by syllable against the exact
+classes before it counts, so a fingerprint collision cannot change a result.
+
 The decision procedure repeatedly replaces a matched relator portion longer
 than half that relator by the inverse of its complement, which strictly
 shortens the word.  On a system certified at ratio <= 1/10 the procedure is a
@@ -22,16 +31,21 @@ below half means non-member, and exactly half is reported undecided.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Optional
+
+import numpy as np
 
 from . import words as W
 from .amalgam import AmalgamNode, HnnNode, Node, SchemeError
 from .words import EMPTY, FACTOR, LETTER, SyllableWord
 
-_HASH_MOD = (1 << 61) - 1
-_HASH_BASE = 1_000_003
+# (prime modulus, base) of the two span fingerprints; a modulus below 2^31
+# keeps every product of two residues inside int64
+_FINGERPRINTS = ((2_147_483_647, 1_000_003), (2_147_483_629, 998_244_353))
 
 
 class OrderUndecided(SchemeError):
@@ -56,10 +70,7 @@ def build_tau(node: Node, x0_word, x1_word, n: int) -> SyllableWord:
     for k in range(1, n + 1):
         parts.extend([block_a] * k)
         parts.extend([block_b] * k)
-    out = EMPTY
-    for p in parts:
-        out = W.concat(out, p, ops)
-    return node.reduce(out)
+    return node.reduce(W.normalize(chain.from_iterable(parts), ops))
 
 
 def build_relator(node: Node, z_word, x0_word, x1_word, n: int) -> SyllableWord:
@@ -102,13 +113,15 @@ class RelatorSystem:
         self.cyclic_relators = cyc
         self.meta = dict(meta or {})
         self._classes: dict = {}
-        self._exact_codes: dict = {}
+        self._codes: dict = {}
         self._rel_arrays = None
         self._metric_report = None
 
     # syllable classes: exact id, left-coset id, right-coset id, double-coset id
 
     def _class_of(self, syl):
+        """The syllable's four class ids and their system-wide integer
+        codes."""
         got = self._classes.get(syl)
         if got is not None:
             return got
@@ -138,33 +151,29 @@ class RelatorSystem:
                     "syllable; rerun with a larger window")
             ids = ((FACTOR, side, elem), (FACTOR, side, lrep),
                    (FACTOR, side, rbest[1]), (FACTOR, side, dbest[1]))
-        self._classes[syl] = ids
-        return ids
+        codes = self._codes
+        got = (ids, tuple(codes.setdefault(i, len(codes) + 1) for i in ids))
+        self._classes[syl] = got
+        return got
 
     def _arrays_for(self, w):
-        """Doubled class-id arrays and prefix hashes for a cyclic word."""
-        eid, lid, rid, did = [], [], [], []
-        for syl in list(w) + list(w):
-            e, l, r, d = self._class_of(syl)
-            eid.append(e)
-            lid.append(l)
-            rid.append(r)
-            did.append(d)
-        # interior rolling hash over exact ids; the code assignment is
-        # system-wide so hashes compare across words
-        intern = self._exact_codes
-        codes = []
-        for e in eid:
-            c = intern.get(e)
-            if c is None:
-                c = len(intern) + 1
-                intern[e] = c
-            codes.append(c)
-        pref = [0] * (len(codes) + 1)
-        for i, c in enumerate(codes):
-            pref[i + 1] = (pref[i] * _HASH_BASE + c) % _HASH_MOD
+        """Doubled class-id lists, their int64 codes and the fingerprint
+        prefix sums for a nonempty cyclic word."""
+        got = [self._class_of(syl) for syl in w]
+        eid, lid, rid, did = (list(ids) * 2
+                              for ids in zip(*(g[0] for g in got)))
+        codes = np.array([g[1] for g in got], dtype=np.int64)
+        ecode, lcode, rcode, dcode = np.concatenate([codes, codes]).T.copy()
+        # pref[k] = sum of ecode[j] * base^j over j < k, and inv[j] = base^-j,
+        # so (pref[s + m] - pref[s]) * inv[s] fingerprints the m codes from s
+        pref, inv = [], []
+        for mod, base in _FINGERPRINTS:
+            terms = ecode * _powers(base, mod, len(ecode)) % mod
+            pref.append(np.concatenate([[0], np.cumsum(terms) % mod]))
+            inv.append(_powers(pow(base, mod - 2, mod), mod, len(ecode)))
         return {"eid": eid, "lid": lid, "rid": rid, "did": did,
-                "pref": pref, "n": len(w)}
+                "lcode": lcode, "rcode": rcode, "dcode": dcode,
+                "pref": pref, "inv": inv, "n": len(w)}
 
     def _relator_arrays(self):
         if self._rel_arrays is None:
@@ -180,24 +189,36 @@ class RelatorSystem:
         return rep
 
 
-_POW_CACHE = [1]
-
-def _hpow(k):
-    while len(_POW_CACHE) <= k:
-        _POW_CACHE.append((_POW_CACHE[-1] * _HASH_BASE) % _HASH_MOD)
-    return _POW_CACHE[k]
-
-
-def _span_hash(arrays, start, length):
-    pref = arrays["pref"]
-    return (pref[start + length] - pref[start] * _hpow(length)) % _HASH_MOD
+def _powers(base, mod, count):
+    """base^j mod `mod` for j < count, as int64, by doubling."""
+    out = np.ones(count, dtype=np.int64)
+    size = 1
+    while size < count:
+        step = min(size, count - size)
+        out[size:size + step] = out[:step] * pow(base, size, mod) % mod
+        size += step
+    return out
 
 
-def _signature(arrays, p, L):
+def _keys(arrays, L, count):
+    """int64 keys of the spans of length L starting at 0 .. count-1.
+
+    A span's signature is its double-coset class when L == 1, else its left
+    class, exact interior and right class; equal signatures give equal
+    keys.  For L >= 2 the key packs one fingerprint per prime of the
+    sequence (left code, interior codes, right code)."""
     if L == 1:
-        return ("d", arrays["did"][p])
-    return (arrays["lid"][p], _span_hash(arrays, p + 1, L - 2),
-            L, arrays["rid"][p + L - 1])
+        return arrays["dcode"][:count]
+    left = arrays["lcode"][:count]
+    right = arrays["rcode"][L - 1:L - 1 + count]
+    key = np.zeros(count, dtype=np.int64)
+    for (mod, base), pref, inv in zip(_FINGERPRINTS, arrays["pref"],
+                                      arrays["inv"]):
+        inner = ((pref[L - 1:L - 1 + count] - pref[1:1 + count]) % mod
+                 * inv[1:1 + count] % mod)
+        top = pow(base, L - 1, mod)
+        key = key << 31 | (left + inner * base % mod + right * top % mod) % mod
+    return key
 
 
 def _verify_fuzzy(arr1, p, arr2, q, L):
@@ -266,22 +287,28 @@ def max_piece(system: RelatorSystem) -> PieceReport:
     arrays = system._relator_arrays()
 
     def occurs_twice(L):
-        table = {}
-        for ri, arr in enumerate(arrays):
-            n = arr["n"]
-            if L > n:
-                continue
-            for p in range(n):
-                sig = _signature(arr, p, L)
-                bucket = table.get(sig)
-                if bucket is None:
-                    table[sig] = [(ri, p)]
-                    continue
-                for qi, q in bucket:
-                    if (qi, q) != (ri, p) and _verify_fuzzy(arrays[qi], q,
-                                                            arr, p, L):
-                        return ((qi, q), (ri, p))
-                bucket.append((ri, p))
+        """The first span in scan order (relator, then offset) that verifies
+        against an earlier one, paired with the first such earlier span."""
+        live = [ri for ri, arr in enumerate(arrays) if L <= arr["n"]]
+        starts = [0]
+        for ri in live:
+            starts.append(starts[-1] + arrays[ri]["n"])
+
+        def span(j):
+            k = bisect_right(starts, j) - 1
+            return live[k], j - starts[k]
+
+        keys = np.concatenate([_keys(arrays[ri], L, arrays[ri]["n"])
+                               for ri in live])
+        _, first, group = np.unique(keys, return_index=True,
+                                    return_inverse=True)
+        # candidates: spans whose key already occurred earlier in scan order
+        for j in np.flatnonzero(first[group] < np.arange(len(keys))).tolist():
+            rj, p = span(j)
+            for i in np.flatnonzero(group[:j] == group[j]).tolist():
+                qi, q = span(i)
+                if _verify_fuzzy(arrays[qi], q, arrays[rj], p, L):
+                    return ((qi, q), (rj, p))
         return None
 
     lo, hi = 0, max(lengths)
@@ -327,29 +354,32 @@ class DehnVerdict:
         return self.status == "member"
 
 
-def _best_match(system: RelatorSystem, warr, wlen):
-    """Maximal fuzzy match between the cyclic word and any cyclic relator,
-    ranked by fraction of the relator covered.
+def _best_match(system: RelatorSystem, w):
+    """Maximal fuzzy match between the nonempty cyclic word w and any cyclic
+    relator, ranked by fraction of the relator covered.
 
     Returns (fraction, L, wstart, rel_index, rel_offset) or None.
     """
+    warr = system._arrays_for(w)
+    wlen = len(w)
     arrays = system._relator_arrays()
+    wkeys_at = {}   # the word's keys by span length, shared by the relators
     best = None
     for ri, rarr in enumerate(arrays):
         rlen = rarr["n"]
         cap = min(wlen, rlen)
 
         def match_at(L):
+            """The least word offset p, then the least relator offset q,
+            whose spans of length L verify."""
             if L > rlen:
                 return None
-            table = {}
-            for q in range(rlen):
-                table.setdefault(_signature(rarr, q, L), []).append(q)
-            for p in range(wlen):
-                bucket = table.get(_signature(warr, p, L))
-                if bucket is None:
-                    continue
-                for q in bucket:
+            rkeys = _keys(rarr, L, rlen)
+            wkeys = wkeys_at.get(L)
+            if wkeys is None:
+                wkeys = wkeys_at[L] = _keys(warr, L, wlen)
+            for p in np.flatnonzero(np.isin(wkeys, rkeys)).tolist():
+                for q in np.flatnonzero(rkeys == wkeys[p]).tolist():
                     if _verify_fuzzy(warr, p, rarr, q, L):
                         return (p, q)
             return None
@@ -424,6 +454,25 @@ def _apply_replacement(system: RelatorSystem, wsyls, p, L, ri, q, a, b):
     return node.reduce(SyllableWord(new))
 
 
+def _dehn_step(system: RelatorSystem, cur, best, trace: list):
+    """Rewrite cur by the match `best` from `_best_match`: rotate the match
+    into place if it wraps, then replace it by the inverse of the relator
+    complement.  The steps taken are appended to `trace`."""
+    _, L, p, ri, q = best
+    if p + L > len(cur):
+        trace.append(DehnStep("rotate", (p,)))
+        wsyls = (list(cur) + list(cur))[p:p + len(cur)]
+        p = 0
+    else:
+        wsyls = list(cur)
+    rel = system.cyclic_relators[ri]
+    a, b = _end_carries(system, wsyls, p, rel, q, L)
+    trace.append(DehnStep("replace", (ri, q, p, L,
+                                      a[2] if a else None,
+                                      b[2] if b else None)))
+    return _apply_replacement(system, wsyls, p, L, ri, q, a, b)
+
+
 def greendlinger_decide(system: RelatorSystem, w, *, max_steps: int = 10000,
                         bound: Fraction = Fraction(1, 10)) -> DehnVerdict:
     """Decide membership of w in the normal closure of the relators."""
@@ -448,12 +497,11 @@ def greendlinger_decide(system: RelatorSystem, w, *, max_steps: int = 10000,
                 "nonmember", steps, Fraction(len(cur), min_rlen),
                 "shorter than half the shortest relator; no relator can "
                 "cover more than half of itself inside it", trace)
-        warr = system._arrays_for(cur)
-        best = _best_match(system, warr, len(cur))
+        best = _best_match(system, cur)
         if best is None:
             return DehnVerdict("nonmember", steps, Fraction(0),
                                "no relator subword occurs at all", trace)
-        frac, L, p, ri, q = best
+        frac = best[0]
         if frac < half:
             return DehnVerdict(
                 "nonmember", steps, frac,
@@ -465,19 +513,7 @@ def greendlinger_decide(system: RelatorSystem, w, *, max_steps: int = 10000,
         if steps >= max_steps:
             return DehnVerdict("undecided", steps, frac,
                                "step limit reached", trace)
-        wsyls = list(cur) + list(cur)
-        if p + L > len(cur):
-            trace.append(DehnStep("rotate", (p,)))
-            wsyls = wsyls[p:p + len(cur)]
-            p = 0
-        else:
-            wsyls = list(cur)
-        rel = system.cyclic_relators[ri]
-        a, b = _end_carries(system, wsyls, p, rel, q, L)
-        trace.append(DehnStep("replace", (ri, q, p, L,
-                                          a[2] if a else None,
-                                          b[2] if b else None)))
-        cur = _apply_replacement(system, wsyls, p, L, ri, q, a, b)
+        cur = _dehn_step(system, cur, best, trace)
         steps += 1
 
 
@@ -725,20 +761,10 @@ class ScQuotientNode(Node):
             if not cur or 2 * len(cur) < min(len(r) for r in
                                              self.system.cyclic_relators):
                 return cur
-            warr = self.system._arrays_for(cur)
-            best = _best_match(self.system, warr, len(cur))
+            best = _best_match(self.system, cur)
             if best is None or best[0] <= Fraction(1, 2):
                 return cur
-            frac, L, p, ri, q = best
-            wsyls = list(cur) + list(cur)
-            if p + L > len(cur):
-                wsyls = wsyls[p:p + len(cur)]
-                p = 0
-            else:
-                wsyls = list(cur)
-            rel = self.system.cyclic_relators[ri]
-            a, b = _end_carries(self.system, wsyls, p, rel, q, L)
-            cur = _apply_replacement(self.system, wsyls, p, L, ri, q, a, b)
+            cur = _dehn_step(self.system, cur, best, [])
 
     def canonical(self, w) -> SyllableWord:
         return self.base.canonical(self.reduce(w))

@@ -46,10 +46,14 @@ def hnn6():
     return z6_hnn()
 
 
-@pytest.fixture
-def twist_node():
+def s3xz2_pair() -> AmalgamNode:
     """Two copies of S3 x Z2 glued along the common central involution."""
     g = fingrp.named_group("s3xz2")
     left = BaseNode(g, name="l")
     right = BaseNode(g, name="r")
     return AmalgamNode(left, right, ExplicitShared([0, 1], [0, 1]))
+
+
+@pytest.fixture
+def twist_node():
+    return s3xz2_pair()

@@ -1,13 +1,17 @@
 """End-to-end runs of the command-line front end.
 
 Each test drives `run` with a real argument vector and asserts on the exit
-code and the printed report.  A few tests shell out to the installed `forge`
-script instead, where a fresh interpreter pins down stable-letter numbering
+code and the printed report.  A few tests shell out to a fresh `forge`
+process instead, where a fresh interpreter pins down stable-letter numbering
 and lets two runs be compared byte for byte.
 """
 
+import os
+import re
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -90,11 +94,33 @@ def files(tmp_path_factory):
     }
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
 @pytest.fixture(scope="module")
 def forge_bin():
+    """(command prefix, environment) for a fresh `forge` process: the
+    installed console script, or else this checkout's `groupforge.cli`
+    module with `src` on PYTHONPATH."""
     path = shutil.which("forge")
-    assert path, "the forge console script is not on PATH"
-    return path
+    if path:
+        return [path], None
+    env = dict(os.environ)
+    extra = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([extra] if extra else []))
+    return [sys.executable, "-m", "groupforge.cli"], env
+
+
+def test_forge_console_script_points_at_cli_main():
+    # the fallback above runs groupforge.cli as a module; this keeps the
+    # installed entry point from drifting away from the same function
+    text = (ROOT / "pyproject.toml").read_text()
+    section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text,
+                        re.M | re.S)
+    assert section, "pyproject.toml has no [project.scripts] table"
+    assert re.search(r'^forge\s*=\s*"groupforge\.cli:main"\s*$',
+                     section.group(1), re.M)
 
 
 def forge(capsys, *argv):
@@ -266,9 +292,10 @@ def test_centralizer_check(capsys, files):
 
 def test_stable_letter_pinch_in_fresh_process(forge_bin, files):
     # a fresh interpreter always numbers the scheme's one letter t1
+    cmd, env = forge_bin
     r = subprocess.run(
-        [forge_bin, "hnn", "reduce", files["hnn5"], "t1^-1 f0:1 t1"],
-        capture_output=True, text=True)
+        [*cmd, "hnn", "reduce", files["hnn5"], "t1^-1 f0:1 t1"],
+        capture_output=True, text=True, env=env)
     assert r.returncode == EXIT_OK
     assert "reduced: f0:2" in r.stdout
     assert "letters: 0" in r.stdout
@@ -541,9 +568,10 @@ def test_usage_errors_exit_three(capsys, argv):
 
 
 def test_repeated_runs_are_byte_identical(forge_bin):
-    cmd = [forge_bin, "universe", "probe", "--h", "z3", "--master", "0,1,2",
+    prefix, env = forge_bin
+    cmd = [*prefix, "universe", "probe", "--h", "z3", "--master", "0,1,2",
            "--samples", "25", "--seed", "9"]
-    first = subprocess.run(cmd, capture_output=True)
-    second = subprocess.run(cmd, capture_output=True)
+    first = subprocess.run(cmd, capture_output=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, env=env)
     assert first.returncode == EXIT_OK
     assert first.stdout == second.stdout

@@ -3,23 +3,31 @@ decision procedure, and the membership obstruction.
 
 The fast piece scan is cross-checked against a quadratic common-prefix oracle
 over the explicit symmetrized closure, and the headline numbers are frozen so
-a regression in either route shows up as a plain value mismatch.
+a regression in either route shows up as a plain value mismatch.  The int64
+span-key matcher is also compared, witness for witness, with the tuple-and-dict
+bucket scan it replaced.
 """
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from groupforge import smallcancel
+from groupforge import words as W
 from groupforge.amalgam import SchemeError
 from groupforge.smallcancel import (OrderUndecided, RelatorSystem,
-                                    ScQuotientNode, build_relator, build_tau,
+                                    ScQuotientNode, _best_match,
+                                    _verify_fuzzy, build_relator, build_tau,
                                     check_metric, greendlinger_decide,
                                     malnormality_probe, max_piece,
                                     obstruction_check, quotient_is_trivial,
                                     replay_trace, symmetrize)
-from groupforge.words import EMPTY, SyllableWord, syllable_length
+from groupforge.words import EMPTY, FACTOR, SyllableWord, syllable_length
 
-from conftest import free_product, z6_hnn, z6_pair
+from conftest import free_product, s3xz2_pair, z6_hnn, z6_pair
 
 
 # -- independent piece oracle ---------------------------------------------------
@@ -45,6 +53,157 @@ def tau_system(n1, n2, n):
     return node, tau, RelatorSystem(node, [tau])
 
 
+# -- the matcher's oracle: tuple signatures in dict buckets --------------------
+
+def oracle_signature(arr, p, L):
+    """The span signature the matcher's int64 keys stand for, spelled out."""
+    if L == 1:
+        return ("d", arr["did"][p])
+    return (arr["lid"][p], tuple(arr["eid"][p + 1:p + L - 1]), L,
+            arr["rid"][p + L - 1])
+
+
+def longest(probe, hi):
+    """Binary search for the largest L <= hi with probe(L) not None."""
+    lo, hit = 0, None
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        got = probe(mid)
+        if got is not None:
+            lo, hit = mid, got
+        else:
+            hi = mid - 1
+    return lo, hit
+
+
+def oracle_max_piece(system):
+    """(max piece, witness) by bucketing every span under its signature in
+    scan order and verifying each new span against its bucket."""
+    arrays = system._relator_arrays()
+
+    def occurs_twice(L):
+        table = {}
+        for ri, arr in enumerate(arrays):
+            if L > arr["n"]:
+                continue
+            for p in range(arr["n"]):
+                bucket = table.setdefault(oracle_signature(arr, p, L), [])
+                for qi, q in bucket:
+                    if _verify_fuzzy(arrays[qi], q, arr, p, L):
+                        return ((qi, q), (ri, p))
+                bucket.append((ri, p))
+        return None
+
+    return longest(occurs_twice, max(arr["n"] for arr in arrays))
+
+
+def oracle_best_match(system, w):
+    """`_best_match` by the same bucket scan, one relator at a time."""
+    warr = system._arrays_for(w)
+    best = None
+    for ri, rarr in enumerate(system._relator_arrays()):
+        rlen = rarr["n"]
+
+        def match_at(L):
+            if L > rlen:
+                return None
+            table = {}
+            for q in range(rlen):
+                table.setdefault(oracle_signature(rarr, q, L), []).append(q)
+            for p in range(len(w)):
+                for q in table.get(oracle_signature(warr, p, L), []):
+                    if _verify_fuzzy(warr, p, rarr, q, L):
+                        return (p, q)
+            return None
+
+        L, hit = longest(match_at, min(len(w), rlen))
+        if hit is not None:
+            cand = (Fraction(L, rlen), L, hit[0], ri, hit[1])
+            if best is None or cand[0] > best[0]:
+                best = cand
+    return best
+
+
+TAU_NODES = {"z5*z7": lambda: free_product(5, 7),
+             "z3*z5": lambda: free_product(3, 5),
+             "s3xz2": s3xz2_pair}
+
+
+def outside_shared(node, side):
+    fac = node.factors[side]
+    return [e for e in range(fac.elem_count())
+            if not fac.is_identity_elem(e) and not node._shared.member(side, e)]
+
+
+@st.composite
+def tau_cases(draw):
+    """A tau system over one of the nodes, with x1^2 outside the shared
+    subgroup so that tau alternates factors, and a seed for its words."""
+    node = TAU_NODES[draw(st.sampled_from(sorted(TAU_NODES)))]()
+    square = node.factors[1].mul_elem
+    x1s = [e for e in outside_shared(node, 1)
+           if not node._shared.member(1, square(e, e))]
+    x0 = draw(st.sampled_from(outside_shared(node, 0)))
+    x1 = draw(st.sampled_from(x1s))
+    n = draw(st.integers(1, 6))
+    tau = build_tau(node, SyllableWord([(FACTOR, 0, x0)]),
+                    SyllableWord([(FACTOR, 1, x1)]), n)
+    return RelatorSystem(node, [tau]), draw(st.integers(0, 2 ** 32))
+
+
+def sample_words(system, rng):
+    """Members (products of relator conjugates), a member shifted by one
+    syllable and a short word, all nonempty."""
+    node = system.node
+
+    def reduced(length):
+        side, syls = rng.randrange(2), []
+        for _ in range(length):
+            syls.append((FACTOR, side, rng.choice(outside_shared(node, side))))
+            side = 1 - side
+        return node.reduce(SyllableWord(syls))
+
+    def member(k):
+        acc = EMPTY
+        for _ in range(k):
+            rel = system.relators[0]
+            if rng.random() < 0.5:
+                rel = node.invert_word(rel)
+            acc = node.mul_words(acc, node.conjugate_word(rel, reduced(
+                rng.randint(0, 4))))
+        return acc
+
+    shifted = node.mul_words(member(1), reduced(1))
+    short = reduced(rng.randint(1, max(1, len(system.relators[0]) // 2)))
+    return [w for w in (member(1), member(2), shifted, short) if w]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(tau_cases())
+def test_key_matcher_agrees_with_bucket_oracle(case):
+    system, seed = case
+    rep = max_piece(system)
+    assert (rep.max_piece, rep.witness) == oracle_max_piece(system)
+    for w in sample_words(system, random.Random(seed)):
+        assert _best_match(system, w) == oracle_best_match(system, w)
+
+
+@pytest.mark.parametrize("name,n", [("z5*z7", 4), ("z3*z5", 5), ("s3xz2", 3)])
+def test_key_collisions_are_settled_by_verification(monkeypatch, name, n):
+    """With keys folded into seven buckets nearly every key hit is a false
+    one; the results stay the same because every hit is verified."""
+    node = TAU_NODES[name]()
+    x0, x1 = ("f0:4", "f1:4") if name == "s3xz2" else ("f0:1", "f1:1")
+    system = RelatorSystem(node, [build_tau(node, node.parse(x0),
+                                            node.parse(x1), n)])
+    words = sample_words(system, random.Random(n))
+    want = (max_piece(system), [_best_match(system, w) for w in words])
+    keys = smallcancel._keys
+    monkeypatch.setattr(smallcancel, "_keys",
+                        lambda arrays, L, count: keys(arrays, L, count) % 7)
+    assert (max_piece(system), [_best_match(system, w) for w in words]) == want
+
+
 # -- relator construction ---------------------------------------------------------
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -52,6 +211,37 @@ def test_tau_length_law(n, fp57):
     tau = build_tau(fp57, fp57.parse("f0:1"), fp57.parse("f1:1"), n)
     assert syllable_length(tau) == sum(4 * k for k in range(1, n + 1))
     assert syllable_length(tau) == 2 * n * (n + 1)
+
+
+def quadratic_tau(node, x0, x1, n):
+    """build_tau as a block-by-block concatenation, copying the prefix each
+    time: the reference for the one-pass merge."""
+    x0, x1 = node.reduce(x0), node.reduce(x1)
+    ops = node.ops
+    x1sq = node.reduce(W.concat(x1, x1, ops))
+    block_a, block_b = W.concat(x0, x1, ops), W.concat(x0, x1sq, ops)
+    out = EMPTY
+    for k in range(1, n + 1):
+        for block in [block_a] * k + [block_b] * k:
+            out = W.concat(out, block, ops)
+    return node.reduce(out)
+
+
+@pytest.mark.parametrize("name,x0,x1", [("z5*z7", "f0:1", "f1:1"),
+                                        ("z5*z7", "f0:3", "f1:5"),
+                                        ("s3xz2", "f0:4", "f1:5")])
+def test_tau_matches_blockwise_concatenation(name, x0, x1):
+    node = TAU_NODES[name]()
+    x0, x1 = node.parse(x0), node.parse(x1)
+    for n in range(1, 41):
+        assert build_tau(node, x0, x1, n) == quadratic_tau(node, x0, x1, n)
+
+
+def test_tau_is_linear_in_its_length(fp57):
+    t0 = time.perf_counter()
+    tau = build_tau(fp57, fp57.parse("f0:1"), fp57.parse("f1:1"), 160)
+    assert time.perf_counter() - t0 < 0.5
+    assert len(tau) == 2 * 160 * 161
 
 
 def test_tau_rejects_bad_input(fp57):
