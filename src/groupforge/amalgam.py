@@ -19,7 +19,9 @@ Coset representatives are chosen by a structural word order (length, then
 lexicographic on syllable tuples) so they do not depend on registry insertion
 order.  Cyclic shared subgroups with an infinite-order generator are explored
 through a +-window of powers; whenever a representative choice lands on the
-window edge the operation raises instead of silently truncating.
+window edge the operation raises instead of silently truncating.  Both node
+kinds share one coset scan, memoised per node by (side, element); an edge hit
+is never memoised, so it raises on every call.
 """
 
 from __future__ import annotations
@@ -144,10 +146,19 @@ def _powers(node, gen, lo, hi):
     return out
 
 
+def _check_elems(what: str, node: "Node", elems):
+    for e in elems:
+        if not node.valid_elem(e):
+            raise SchemeError(f"{what}: element index {e} unknown at "
+                              f"{node.name}")
+
+
 def _bind_pairs(spec, side0: "Node", side1: "Node", what: str) -> _BoundPairs:
     if isinstance(spec, (ExplicitShared, ExplicitAssoc)):
         left = list(spec.left if isinstance(spec, ExplicitShared) else spec.a)
         right = list(spec.right if isinstance(spec, ExplicitShared) else spec.b)
+        _check_elems(what, side0, left)
+        _check_elems(what, side1, right)
         if len(left) != len(right):
             raise SchemeError(f"{what}: element lists have different lengths")
         if not left:
@@ -168,6 +179,8 @@ def _bind_pairs(spec, side0: "Node", side1: "Node", what: str) -> _BoundPairs:
     if isinstance(spec, (CyclicShared, CyclicAssoc)):
         g0 = spec.left_gen if isinstance(spec, CyclicShared) else spec.a_gen
         g1 = spec.right_gen if isinstance(spec, CyclicShared) else spec.b_gen
+        _check_elems(what, side0, [g0])
+        _check_elems(what, side1, [g1])
         w = spec.window
         o0 = side0.elem_order(g0)
         o1 = side1.elem_order(g1)
@@ -202,6 +215,7 @@ class Node:
         self.socle_records: list = []
         self._rwords: list = [EMPTY]
         self._rindex: dict = {EMPTY: 0}
+        self._cosets: dict = {}
 
     def __repr__(self):
         return f"<{self.kind} {self.name}>"
@@ -288,6 +302,37 @@ class Node:
     def validate_word(self, w):
         raise NotImplementedError
 
+    # coset representatives (compound nodes set _bound, _coset_factors and
+    # _edge_what)
+
+    def _coset_data(self, side, elem):
+        """elem = carry . rep with carry in the bound subgroup on `side` and
+        rep the structurally least element of its right coset.
+
+        Registry indices never change, so the answer is memoised per
+        (side, elem); a scan that lands on the window edge is not memoised
+        and raises on every call."""
+        got = self._cosets.get((side, elem))
+        if got is not None:
+            return got
+        fac = self._coset_factors[side]
+        best_key = None
+        best = None
+        for s_elem, at_edge in self._bound.scan(side):
+            cand = fac.mul_elem(s_elem, elem)
+            key = fac.elem_key(cand)
+            if best_key is None or key < best_key:
+                best_key = key
+                best = (cand, s_elem, at_edge)
+        rep, s_elem, at_edge = best
+        if at_edge and self._bound.cyclic_infinite:
+            raise SchemeError(
+                f"{self.name}: coset representative fell on the "
+                f"{self._edge_what} edge; rerun with a larger window")
+        got = (rep, fac.inv_elem(s_elem))
+        self._cosets[(side, elem)] = got
+        return got
+
 
 class BaseNode(Node):
     """Tower leaf wrapping a finite group; elements are group indices."""
@@ -360,6 +405,7 @@ class AmalgamNode(Node):
     """Free product of two tower nodes amalgamated over a shared subgroup."""
 
     kind = "amalgam"
+    _edge_what = "shared-window"
 
     def __init__(self, left: Node, right: Node, shared, name: Optional[str] = None):
         super().__init__(name or f"({left.name}*{right.name})")
@@ -368,6 +414,8 @@ class AmalgamNode(Node):
         self.shared_spec = shared
         self._ops = _FactorOps((left, right))
         self._shared = _bind_pairs(shared, left, right, f"{self.name} shared subgroup")
+        self._bound = self._shared
+        self._coset_factors = (left, right)
         self._adopt_distinguished()
 
     def _adopt_distinguished(self):
@@ -430,25 +478,6 @@ class AmalgamNode(Node):
                 continue
             out.append((FACTOR, side, elem))
             return
-
-    def _coset_data(self, side, elem):
-        """elem = carry . rep with carry in the shared subgroup and rep the
-        structurally least element of its right coset."""
-        fac = self.factors[side]
-        best_key = None
-        best = None
-        for s_elem, at_edge in self._shared.scan(side):
-            cand = fac.mul_elem(s_elem, elem)
-            key = fac.elem_key(cand)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (cand, s_elem, at_edge)
-        rep, s_elem, at_edge = best
-        if at_edge and self._shared.cyclic_infinite:
-            raise SchemeError(
-                f"{self.name}: coset representative fell on the shared-window "
-                f"edge; rerun with a larger window")
-        return rep, fac.inv_elem(s_elem)
 
     def canonical(self, w) -> SyllableWord:
         r = self.reduce(w)
@@ -515,6 +544,7 @@ class HnnNode(Node):
     """HNN extension of a tower node: t^-1 a t = phi(a) for a in A."""
 
     kind = "hnn"
+    _edge_what = "associated-subgroup window"
 
     def __init__(self, base: Node, assoc, name: Optional[str] = None,
                  letter: Optional[int] = None):
@@ -525,6 +555,8 @@ class HnnNode(Node):
         self._ops = _FactorOps((base,))
         self._assoc = _bind_pairs(assoc, base, base,
                                   f"{self.name} associated subgroups")
+        self._bound = self._assoc
+        self._coset_factors = (base, base)
         if base.h_group is not None:
             self.h_group = base.h_group
             self.distinguished = {
@@ -588,23 +620,6 @@ class HnnNode(Node):
                     continue
             out.append(syl)
             return
-
-    def _coset_data(self, side, elem):
-        base = self.base
-        best_key = None
-        best = None
-        for s_elem, at_edge in self._assoc.scan(side):
-            cand = base.mul_elem(s_elem, elem)
-            key = base.elem_key(cand)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (cand, s_elem, at_edge)
-        rep, s_elem, at_edge = best
-        if at_edge and self._assoc.cyclic_infinite:
-            raise SchemeError(
-                f"{self.name}: coset representative fell on the associated-"
-                f"subgroup window edge; rerun with a larger window")
-        return rep, base.inv_elem(s_elem)
 
     def canonical(self, w) -> SyllableWord:
         r = self.reduce(w)
@@ -856,21 +871,6 @@ def hat_base(h: FiniteGroup, *, name: Optional[str] = None,
     return node
 
 
-def adjoin_aut(node: Node, b_elems, *, name: Optional[str] = None,
-               budget: Optional[int] = None) -> AmalgamNode:
-    """Amalgamate the automorphism group of a finite centerless subgroup B
-    over B itself (matched with the inner copy)."""
-    elems = list(b_elems)
-    tbl = subgroup_table(node, elems)
-    if len(tbl.center()) != 1:
-        raise SchemeError("subgroup has a nontrivial center; it does not "
-                          "embed as its inner automorphisms")
-    aut = fingrp.automorphism_group(tbl, budget=budget)
-    right = BaseNode(aut, name=f"aut@{node.name}")
-    shared = ExplicitShared(elems, [aut.inner_index(i) for i in range(tbl.n)])
-    return AmalgamNode(node, right, shared, name=name or f"{node.name}+aut")
-
-
 @dataclass
 class IsoRealization:
     node: "HnnNode"        # tower with both stable letters added
@@ -891,6 +891,13 @@ def realize_iso_by_hnn(node: Node, a_elems, b_elems, a_hat, b_hat,
     hat; the isomorphism is then realized by t1^-1 g t2 for a suitable g
     inside the distinguished overgroup.
     """
+    _check_elems("A", node, a_elems)
+    _check_elems("B", node, b_elems)
+    _check_elems("first hat", node, a_hat)
+    _check_elems("second hat", node, b_hat)
+    if phi_pairs is not None:
+        _check_elems("isomorphism pairs", node,
+                     [e for pair in phi_pairs for e in pair])
     if "hat" not in node.distinguished or "h" not in node.distinguished:
         raise SchemeError("tower has no distinguished overgroup; build its "
                           "leaf with hat_base")

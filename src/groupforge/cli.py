@@ -40,6 +40,11 @@ class Session:
         if self.budget is None:
             env = os.environ.get("FORGE_BUDGET")
             self.budget = int(env) if env else None
+        for what, v, least in (("budget", self.budget, 0),
+                               ("samples", self.samples, 0),
+                               ("g0-window", self.g0_window, 1)):
+            if v is not None and v < least:
+                raise SchemeError(f"{what} must be at least {least}, got {v}")
 
 
 def _bool(v) -> str:
@@ -53,6 +58,17 @@ def _blocks(text: str):
         raise SchemeError(f"bad block list {text!r}, expected e.g. 0,2,5")
     if not out:
         raise SchemeError(f"bad block list {text!r}, expected e.g. 0,2,5")
+    return out
+
+
+def _bound(text: str) -> Fraction:
+    try:
+        out = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        out = None
+    if out is None or out <= 0:
+        raise SchemeError(f"bad bound {text!r}, expected a positive fraction "
+                          f"such as 1/10")
     return out
 
 
@@ -343,7 +359,7 @@ def _sc_system(args, s, node):
                                                   x0, x1, args.n)]
         else:
             relators = [smallcancel.build_tau(node, x0, x1, args.n)]
-    bound = Fraction(args.bound)
+    bound = _bound(args.bound)
     return smallcancel.RelatorSystem(node, relators), bound
 
 
@@ -405,7 +421,7 @@ def _cmd_sc_obstruct(args, s):
         node.parse(args.x0), node.parse(args.x1),
         node.parse(args.y0),
         node.parse(args.y1) if args.y1 else EMPTY,
-        args.n, bound=Fraction(args.bound))
+        args.n, bound=_bound(args.bound))
     lines = [f"node: {node.name}",
              f"config: {_bool(r.config_ok)} ({r.config_detail})",
              f"metric: {_bool(r.metric_ok)}",
@@ -710,11 +726,11 @@ def run(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_INPUT
-    session = Session(seed=getattr(args, "seed", 0),
-                      budget=getattr(args, "budget", None),
-                      g0_window=getattr(args, "g0_window", 16),
-                      samples=getattr(args, "samples", 200))
     try:
+        session = Session(seed=getattr(args, "seed", 0),
+                          budget=getattr(args, "budget", None),
+                          g0_window=getattr(args, "g0_window", 16),
+                          samples=getattr(args, "samples", 200))
         lines, code = args.fn(args, session)
     except BudgetExceeded as exc:
         print(f"error: {exc}")

@@ -15,14 +15,21 @@ spellings, so groups built along different construction paths compare
 soundly.  A strong isomorphism maps addresses by the unique order map
 between the block sets while keeping offsets; codes number strong-isomorphism
 classes in first-seen order within a run.
+
+Restriction, block filtering and re-addressing along an order map keep the
+group's node and its words, so their partial tables are the source's tables
+cut down to the kept addresses (and relabelled): a derived group filters its
+source's tables instead of multiplying words again.  The closure check
+(clause (b) of check_ugroup) reads the same tables.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
+from . import words as W
 from .amalgam import (AmalgamNode, BaseNode, ExplicitShared, HnnNode,
                       INFINITE, Node, SchemeError, make_conjugate)
 from .fingrp import FiniteGroup
@@ -32,8 +39,7 @@ LAM = 4096
 LAMPLUS = 64
 
 
-@dataclass(frozen=True, order=True)
-class Address:
+class Address(NamedTuple):
     alpha: int
     offset: int
 
@@ -72,6 +78,7 @@ class UGroup:
             seen[a] = w
         self._by_addr = seen
         self._tables = None
+        self._source = None  # a UGroup on the same node whose words cover ours
 
     @property
     def addr_set(self):
@@ -86,20 +93,43 @@ class UGroup:
         Only pairs whose product is itself tracked appear; everything else
         is outside the surrogate's view."""
         if self._tables is None:
-            mul = {}
-            inv = {}
-            items = list(self.addr.items())
-            for w1, a1 in items:
-                wi = self.node.canonical(self.node.invert_word(w1))
-                if wi in self.addr:
-                    inv[a1] = self.addr[wi]
-                for w2, a2 in items:
-                    p = self.node.canonical(self.node.mul_words(w1, w2))
-                    got = self.addr.get(p)
-                    if got is not None:
-                        mul[(a1, a2)] = got
-            self._tables = (mul, inv)
+            if self._source is None:
+                self._tables = self._multiplied_tables()
+            else:
+                self._tables = self._filtered_tables(self._source)
+                self._source = None
         return self._tables
+
+    def _multiplied_tables(self):
+        node, addr = self.node, self.addr
+        mul = {}
+        inv = {}
+        items = list(addr.items())
+        for w1, a1 in items:
+            wi = node.canonical(node.invert_word(w1))
+            if wi in addr:
+                inv[a1] = addr[wi]
+            for w2, a2 in items:
+                # canonical reduces its input: no need to reduce the product
+                got = addr.get(node.canonical(W.concat(w1, w2, node.ops)))
+                if got is not None:
+                    mul[(a1, a2)] = got
+        return mul, inv
+
+    def _filtered_tables(self, src: "UGroup"):
+        """src's entries whose operands and result we track, relabelled.  A
+        multiplied build records a product exactly when its word is tracked,
+        and every word we track src tracks too, so the two builds agree."""
+        smul, sinv = src._built_tables()
+        amap = {src.addr[w]: a for w, a in self.addr.items()}
+        mul = {}
+        for (s1, s2), sp in smul.items():
+            a1, a2, ap = amap.get(s1), amap.get(s2), amap.get(sp)
+            if a1 is not None and a2 is not None and ap is not None:
+                mul[(a1, a2)] = ap
+        inv = {amap[s1]: amap[sp] for s1, sp in sinv.items()
+               if s1 in amap and sp in amap}
+        return mul, inv
 
     @property
     def amul(self):
@@ -122,16 +152,11 @@ def le(p: UGroup, q: UGroup) -> bool:
     and inverse of p appears identically in q."""
     if not p.u <= q.u:
         return False
-    if not p.addr_set <= q.addr_set:
+    if not p._by_addr.keys() <= q._by_addr.keys():
         return False
-    qm, qi = q.amul, q.ainv
-    for k, v in p.amul.items():
-        if qm.get(k) != v:
-            return False
-    for k, v in p.ainv.items():
-        if qi.get(k) != v:
-            return False
-    return True
+    qm, qi = q._built_tables()
+    pm, pi = p._built_tables()
+    return pm.items() <= qm.items() and pi.items() <= qi.items()
 
 
 def same_ugroup(p: UGroup, q: UGroup) -> bool:
@@ -145,15 +170,22 @@ def restrict(g: UGroup, alpha: int) -> UGroup:
         raise SchemeError("restriction boundary must be at least 1")
     addr = {w: a for w, a in g.addr.items() if a.alpha < alpha}
     u = {b for b in g.u if b < alpha}
-    return UGroup(g.node, addr, u, name=f"{g.name}|{alpha}", meta=dict(g.meta),
-                  lam=g.lam, lamplus=g.lamplus)
+    return _derived(g, addr, u, f"{g.name}|{alpha}")
 
 
 def block_filter(g: UGroup, blocks) -> UGroup:
     blocks = frozenset(blocks)
     addr = {w: a for w, a in g.addr.items() if a.alpha in blocks}
-    return UGroup(g.node, addr, g.u & blocks, name=f"{g.name}&",
-                  meta=dict(g.meta), lam=g.lam, lamplus=g.lamplus)
+    return _derived(g, addr, g.u & blocks, f"{g.name}&")
+
+
+def _derived(g: UGroup, addr: dict, u, name: str) -> UGroup:
+    """A group on g's node tracking a subset of g's words; its tables are
+    filtered from g's when first asked for."""
+    out = UGroup(g.node, addr, u, name=name, meta=dict(g.meta), lam=g.lam,
+                 lamplus=g.lamplus)
+    out._source = g
+    return out
 
 
 # -- norms and address assignment ------------------------------------------------
@@ -327,20 +359,19 @@ def check_ugroup(g: UGroup) -> UCheckReport:
         if a.alpha not in g.u:
             return UCheckReport(False, "a",
                                 f"element at {a} uses a block outside u")
+    amul, ainv = g._built_tables()
     for boundary in sorted(g.u):
         delta = Address(boundary, 0)
-        below = {w: a for w, a in g.addr.items() if a < delta}
-        for w, a in below.items():
-            wi = g.node.canonical(g.node.invert_word(w))
-            ai = g.addr.get(wi)
+        below = [a for a in g.addr.values() if a < delta]
+        for a in below:
+            ai = ainv.get(a)
             if ai is None or not ai < delta:
                 return UCheckReport(
                     False, "b", f"inverse of the element at {a} escapes the "
                                 f"boundary {boundary}")
-        for w1, a1 in below.items():
-            for w2, a2 in below.items():
-                p = g.node.canonical(g.node.mul_words(w1, w2))
-                ap = g.addr.get(p)
+        for a1 in below:
+            for a2 in below:
+                ap = amul.get((a1, a2))
                 if ap is not None and not ap < delta:
                     return UCheckReport(
                         False, "b", f"product of elements at {a1}, {a2} "
@@ -360,17 +391,14 @@ def is_strong_iso(g1: UGroup, g2: UGroup) -> Optional[dict]:
     if len(u1) != len(u2):
         return None
     blockmap = dict(zip(u1, u2))
-
-    def A(a: Address) -> Address:
-        return Address(blockmap[a.alpha], a.offset)
-
-    if {A(a) for a in g1.addr_set} != g2.addr_set:
+    A = {a: Address(blockmap[a.alpha], a.offset) for a in g1._by_addr}
+    if set(A.values()) != g2._by_addr.keys():
         return None
-    if {(A(x), A(y)): A(z) for (x, y), z in g1.amul.items()} != g2.amul:
+    if {(A[x], A[y]): A[z] for (x, y), z in g1.amul.items()} != g2.amul:
         return None
-    if {A(x): A(y) for x, y in g1.ainv.items()} != g2.ainv:
+    if {A[x]: A[y] for x, y in g1.ainv.items()} != g2.ainv:
         return None
-    return {w: g2.word_at(A(a)) for w, a in g1.addr.items()}
+    return {w: g2.word_at(A[a]) for w, a in g1.addr.items()}
 
 
 class CodeRegistry:
@@ -484,8 +512,7 @@ def order_iso_image(g: UGroup, blockmap: dict) -> UGroup:
     if targets[-1] >= g.lamplus:
         raise SchemeError("the block map leaves the configured blocks")
     addr = {w: Address(blockmap[a.alpha], a.offset) for w, a in g.addr.items()}
-    return UGroup(g.node, addr, set(targets), name=f"{g.name}~",
-                  meta=dict(g.meta), lam=g.lam, lamplus=g.lamplus)
+    return _derived(g, addr, set(targets), f"{g.name}~")
 
 
 # -- poset axiom probe --------------------------------------------------------------

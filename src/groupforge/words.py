@@ -29,14 +29,6 @@ def letter_syllable(letter: int, sign: int):
     return (LETTER, letter, sign)
 
 
-def is_factor(syl) -> bool:
-    return syl[0] == FACTOR
-
-
-def is_letter(syl) -> bool:
-    return syl[0] == LETTER
-
-
 class FactorOps(Protocol):
     """Multiplication hooks for the factors a word ranges over."""
 

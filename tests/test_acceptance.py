@@ -290,7 +290,7 @@ def test_criterion_8_reduction_soundness(capsys):
             else:
                 syls.append((FACTOR, 0, rng.randrange(1, 5)))
         w = SyllableWord(syls)
-        if hnn.reduce(node.mul_words(w, hnn.invert_word(w))):
+        if hnn.reduce(hnn.mul_words(w, hnn.invert_word(w))):
             cancel_ok = False
 
     torsion_ok = True

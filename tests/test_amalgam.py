@@ -6,12 +6,15 @@ from the defining rules, so the node's incremental pushing is never the only
 route to an answer.
 """
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from groupforge import fingrp
 from groupforge.amalgam import (INFINITE, AmalgamNode, BaseNode, CyclicAssoc,
-                                ExplicitShared, HnnNode, SchemeError,
+                                CyclicShared, ExplicitShared, HnnNode,
+                                SchemeError,
                                 adjoin_socle_witness, britton_reduce,
                                 centralizer_conclusion_check,
                                 conjugate_torsion_into_factor, fresh_letter,
@@ -243,6 +246,94 @@ def test_cyclic_assoc_spec():
         node.parse("f0:2")
 
 
+# -- memoised coset scans ------------------------------------------------------
+
+def windowed_hnn(window):
+    """(Z3 * Z3) with a stable letter centralising the infinite-order u = a b;
+    the associated subgroups are the powers of u up to +-window."""
+    free = free_product(3, 3)
+    u = free.intern(free.parse("f0:1 f1:1"))
+    return HnnNode(free, CyclicAssoc(u, u, window=window)), u
+
+
+def windowed_amalgam(window):
+    """Two copies of Z3 * Z3 glued along <a b>, explored up to +-window."""
+    left, right = free_product(3, 3), free_product(3, 3)
+    u = left.intern(left.parse("f0:1 f1:1"))
+    v = right.intern(right.parse("f0:1 f1:1"))
+    return AmalgamNode(left, right, CyclicShared(u, v, window=window)), u
+
+
+def fresh_twin(node):
+    """The same node over the same factors, with an empty coset memo."""
+    if isinstance(node, HnnNode):
+        return HnnNode(node.base, node.assoc_spec, letter=node.letter)
+    return AmalgamNode(node.left, node.right, node.shared_spec)
+
+
+def element_pool(fac):
+    """Every element of a finite factor; a few short words of an infinite one."""
+    if fac.elem_count() is not None:
+        return list(range(fac.elem_count()))
+    return [fac.intern(fac.parse(t)) for t in
+            ("f0:1", "f0:2", "f1:1", "f1:2", "f0:1 f1:1", "f1:1 f0:2")]
+
+
+def random_word(node, pools, rng, length):
+    syls = []
+    for _ in range(length):
+        if isinstance(node, HnnNode) and rng.random() < 0.4:
+            syls.append((LETTER, node.letter, rng.choice((1, -1))))
+        else:
+            side = rng.randrange(len(pools))
+            syls.append((FACTOR, side, rng.choice(pools[side])))
+    return SyllableWord(syls)
+
+
+@pytest.mark.parametrize("make", [
+    z6_pair, lambda: z6_pair(twist=True), z6_hnn,
+    lambda: windowed_hnn(16)[0], lambda: windowed_amalgam(16)[0]],
+    ids=["amalgam", "twisted", "hnn", "windowed-hnn", "windowed-amalgam"])
+def test_memoised_coset_data_matches_a_fresh_scan(make):
+    node = make()
+    pools = [element_pool(fac) for fac in node.factors]
+    rng = random.Random(3)
+    for _ in range(300):
+        try:
+            node.canonical(random_word(node, pools, rng, rng.randrange(2, 9)))
+        except SchemeError:
+            pass
+    assert len(node._cosets) > 3
+    twin = fresh_twin(node)
+    for (side, elem), got in list(node._cosets.items()):
+        assert twin._coset_data(side, elem) == got
+        assert node._coset_data(side, elem) == got
+
+
+@pytest.mark.parametrize("make,what", [
+    (windowed_hnn, "associated-subgroup window edge"),
+    (windowed_amalgam, "shared-window edge")], ids=["hnn", "amalgam"])
+def test_window_edge_scan_raises_on_every_call(make, what):
+    node, u = make(2)
+    fac = node._coset_factors[0]
+    elem = fac.mul_elem(u, u)  # u^-2 . u^2 is the least candidate, at the edge
+    for _ in range(3):
+        with pytest.raises(SchemeError, match=what):
+            node._coset_data(0, elem)
+    assert (0, elem) not in node._cosets
+    assert node._coset_data(0, u) == fresh_twin(node)._coset_data(0, u)
+    assert (0, u) in node._cosets
+
+
+def test_bound_pairs_reject_unknown_element_indices():
+    left = BaseNode(fingrp.cyclic(5), name="a")
+    right = BaseNode(fingrp.cyclic(7), name="b")
+    with pytest.raises(SchemeError, match="element index 9 unknown at a"):
+        AmalgamNode(left, right, ExplicitShared([0, 9], [0, 9]))
+    with pytest.raises(SchemeError, match="element index 12 unknown at a"):
+        HnnNode(left, CyclicAssoc(1, 12))
+
+
 def test_make_conjugate_produces_verified_letter():
     node = free_product(5, 7)
     u = node.parse("f0:1")
@@ -321,6 +412,15 @@ def test_realize_iso_checks_every_pair():
     for a, b in phi:
         got = r.node.conjugate_word(r.node.elem_word(lift(a)), r.conj)
         assert r.node.equal(got, r.node.elem_word(lift(b)))
+
+
+def test_realize_iso_rejects_unknown_element_indices():
+    hat = hat_base(fingrp.symmetric(3))
+    with pytest.raises(SchemeError, match="A: element index 99 unknown"):
+        realize_iso_by_hnn(hat, [0, 1, 99], [0, 2, 1], range(6), range(6))
+    with pytest.raises(SchemeError, match="pairs: element index -1 unknown"):
+        realize_iso_by_hnn(hat, range(6), range(6), range(6), range(6),
+                           phi_pairs=[(0, -1)])
 
 
 def test_realize_iso_rejects_mismatched_pairs():

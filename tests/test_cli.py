@@ -332,6 +332,14 @@ def test_realize_iso_identity_pairing(capsys, files):
     assert field(out, "verified") == "true"
 
 
+def test_realize_iso_rejects_unknown_element_index(capsys, files):
+    code, out = forge(capsys, "hnn", "realize-iso", files["hat"],
+                      "--a", "0,1,99", "--b", "0,2,1",
+                      "--a-hat", "0,1,2,3,4,5", "--b-hat", "0,1,2,3,4,5")
+    assert code == EXIT_INPUT
+    assert "element index 99 unknown" in out
+
+
 # -- sc subcommands ----------------------------------------------------------
 
 
@@ -550,6 +558,43 @@ def test_budget_from_environment(capsys, monkeypatch):
     code, out = forge(capsys, "group", "aut", "s4")
     assert code == EXIT_UNDECIDED
     assert "budget 2" in out
+
+
+@pytest.mark.parametrize("bound", ["1/0", "0", "-1/10", "tenth"])
+def test_bad_bound_is_an_input_error(capsys, files, bound):
+    code, out = forge(capsys, "sc", "certify", files["fp"], "--n", "5",
+                      f"--bound={bound}")
+    assert code == EXIT_INPUT
+    assert "bad bound" in out
+
+
+def test_negative_budget_is_an_input_error(capsys):
+    code, out = forge(capsys, "--budget", "-1", "group", "aut", "s4")
+    assert code == EXIT_INPUT
+    assert "budget must be at least 0, got -1" in out
+
+
+def test_nonpositive_window_is_an_input_error(capsys, files):
+    code, out = forge(capsys, "hnn", "make-conjugate", files["fp"],
+                      "f0:1 f1:1", "f0:2 f1:2", "--g0-window=-2")
+    assert code == EXIT_INPUT
+    assert "g0-window must be at least 1, got -2" in out
+
+
+@pytest.mark.parametrize("env", ["x", "-3"])
+def test_bad_budget_from_environment_is_an_input_error(capsys, monkeypatch,
+                                                       env):
+    monkeypatch.setenv("FORGE_BUDGET", env)
+    code, out = forge(capsys, "group", "aut", "s3")
+    assert code == EXIT_INPUT
+    assert out.startswith("error: ")
+
+
+def test_negative_samples_is_an_input_error(capsys):
+    code, out = forge(capsys, "universe", "probe", "--h", "z3", "--master",
+                      "0,1", "--samples", "-5")
+    assert code == EXIT_INPUT
+    assert "samples must be at least 0, got -5" in out
 
 
 def test_help_exits_zero(capsys):

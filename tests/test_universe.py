@@ -6,6 +6,8 @@ frozen; any change to the ordering or the clause logic shows up as a count
 mismatch rather than a silent pass.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,6 +24,8 @@ from groupforge.words import EMPTY
 
 Z3 = fingrp.cyclic(3)
 Z2 = fingrp.cyclic(2)
+S3 = fingrp.named_group("s3")
+A4 = fingrp.named_group("a4")
 
 
 def tracked_ugroup(h, blocks, extra_texts):
@@ -128,7 +132,8 @@ def test_check_flags_escaping_product():
                       node.elem_word(3): Address(1, 0)}, [0, 1])
     rep = check_ugroup(g)
     assert not rep.ok and rep.clause == "b"
-    assert "product" in rep.detail
+    assert rep.detail == ("product of elements at 0:1, 0:2 escapes the "
+                          "boundary 1")
 
 
 def test_check_flags_unrealized_block():
@@ -332,3 +337,115 @@ def test_simplicity_requires_tracked_nontrivial_inputs():
                                 g.node.parse("f0:1"))
     with pytest.raises(SchemeError, match="nontrivial"):
         density_simplicity_step(g, EMPTY, g.node.parse("f0:1"))
+
+
+# -- derived tables and table-read checks against word-by-word oracles ---------------
+
+def oracle_tables(g):
+    """The partial tables multiplied word by word, as a group built from
+    scratch would hold them."""
+    node, mul, inv = g.node, {}, {}
+    for w1, a1 in g.addr.items():
+        wi = node.canonical(node.invert_word(w1))
+        if wi in g.addr:
+            inv[a1] = g.addr[wi]
+        for w2, a2 in g.addr.items():
+            got = g.addr.get(node.canonical(node.mul_words(w1, w2)))
+            if got is not None:
+                mul[(a1, a2)] = got
+    return mul, inv
+
+
+def oracle_check(g):
+    """check_ugroup recomputing every inverse and product at every boundary
+    from the words, as (ok, clause, detail)."""
+    if EMPTY not in g.addr:
+        return False, "a", "the identity is not tracked"
+    for w, a in g.addr.items():
+        if a.alpha not in g.u:
+            return False, "a", f"element at {a} uses a block outside u"
+    node = g.node
+    for boundary in sorted(g.u):
+        delta = Address(boundary, 0)
+        below = {w: a for w, a in g.addr.items() if a < delta}
+        for w, a in below.items():
+            ai = g.addr.get(node.canonical(node.invert_word(w)))
+            if ai is None or not ai < delta:
+                return (False, "b", f"inverse of the element at {a} escapes "
+                                    f"the boundary {boundary}")
+        for w1, a1 in below.items():
+            for w2, a2 in below.items():
+                ap = g.addr.get(node.canonical(node.mul_words(w1, w2)))
+                if ap is not None and not ap < delta:
+                    return (False, "b", f"product of elements at {a1}, {a2} "
+                                        f"escapes the boundary {boundary}")
+    for b in g.u:
+        if not any(a.alpha == b for a in g.addr.values()):
+            return False, "c", f"no element realizes block {b}"
+    return True, None, "all clauses hold"
+
+
+def derived_groups(g):
+    """Restrictions at every boundary, filters to every block set holding 0,
+    a re-addressing, and one restriction of that re-addressing."""
+    us = sorted(g.u)
+    out = [restrict(g, alpha) for alpha in range(1, us[-1] + 2)]
+    for mask in range(2 ** (len(us) - 1)):
+        keep = {0} | {b for i, b in enumerate(us[1:]) if mask >> i & 1}
+        out.append(block_filter(g, keep))
+    img = order_iso_image(g, dict(zip(us, [0] + [b + 7 for b in us[1:]])))
+    return out + [img, restrict(img, 8)]
+
+
+def density_output():
+    g = standard_ugroup(Z3, [0, 2])
+    move = density_simplicity_step(g, g.node.parse("f1:1"),
+                                   g.node.parse("f0:2"))
+    assert move.case == "finite-both"
+    return move.ugroup
+
+
+@pytest.mark.parametrize("h,master", [(Z3, [0, 1, 2, 4]), (S3, [0, 2, 3]),
+                                      (A4, [0, 1, 3])],
+                         ids=["z3", "s3", "a4"])
+def test_derived_tables_equal_a_fresh_build(h, master):
+    for g in standard_family(h, master):
+        for d in derived_groups(g):
+            assert d.node is g.node
+            assert d._built_tables() == oracle_tables(d)
+
+
+def test_derived_tables_of_a_density_move_equal_a_fresh_build():
+    final = density_output()
+    for d in derived_groups(final):
+        assert d._built_tables() == oracle_tables(d)
+    assert final._built_tables() == oracle_tables(final)
+
+
+def random_placement(h, rng):
+    """h's elements on random addresses in blocks 0..2, identity at the
+    origin; most such groups fail clause (b) somewhere."""
+    node = BaseNode(h)
+    addr = {EMPTY: Address(0, 0)}
+    free = [Address(b, o) for b in range(3) for o in range(h.n)][1:]
+    for a, e in zip(rng.sample(free, h.n - 1),
+                    [e for e in range(h.n) if not h.is_identity(e)]):
+        addr[node.elem_word(e)] = a
+    return UGroup(node, addr, [0, 1, 2])
+
+
+def test_check_ugroup_matches_the_word_oracle():
+    groups = []
+    for h, master in ((Z3, [0, 1, 3]), (S3, [0, 2])):
+        for g in standard_family(h, master):
+            groups += [g] + derived_groups(g)
+    groups.append(density_output())
+    groups.append(tracked_ugroup(Z3, [0, 1], ["f0:1 f1:1"]))
+    rng = random.Random(11)
+    groups += [random_placement(h, rng) for h in (Z3, S3, A4) for _ in range(12)]
+    clauses = set()
+    for g in groups:
+        rep = check_ugroup(g)
+        assert (rep.ok, rep.clause, rep.detail) == oracle_check(g)
+        clauses.add((rep.clause, rep.detail.split(" ")[0]))
+    assert {(None, "all"), ("b", "inverse"), ("b", "product")} <= clauses
