@@ -1136,21 +1136,21 @@ def parse_scheme_text(text: str, base_dir: str = ".") -> Scheme:
     target = None
     last = None
 
-    def node_of(nm, lineno):
+    def node_of(nm):
         if nm not in nodes:
-            raise SchemeError(f"line {lineno}: unknown tower node {nm!r}")
+            raise SchemeError(f"unknown tower node {nm!r}")
         return nodes[nm]
 
-    def pairs_of(tokens, lineno):
+    def pairs_of(tokens):
         out = ([], [])
         for tok in tokens:
             if "=" not in tok:
-                raise SchemeError(f"line {lineno}: expected <int>=<int>, got {tok!r}")
+                raise SchemeError(f"expected <int>=<int>, got {tok!r}")
             l, _, r = tok.partition("=")
             out[0].append(int(l))
             out[1].append(int(r))
         if not out[0]:
-            raise SchemeError(f"line {lineno}: element pairing is empty")
+            raise SchemeError("element pairing is empty")
         return out
 
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -1159,65 +1159,69 @@ def parse_scheme_text(text: str, base_dir: str = ".") -> Scheme:
             continue
         toks = line.split()
         kind = toks[0]
-        if kind == "group":
-            if len(toks) < 3:
-                raise SchemeError(f"line {lineno}: group needs a name and a source")
-            spec = " ".join(toks[2:])
-            cand = os.path.join(base_dir, spec)
-            groups[toks[1]] = fingrp.named_group(cand if os.path.exists(cand)
-                                                 else spec)
-        elif kind in ("base", "hat"):
-            if len(toks) != 3:
-                raise SchemeError(f"line {lineno}: {kind} needs a name and a group")
-            if toks[2] not in groups:
-                raise SchemeError(f"line {lineno}: unknown group {toks[2]!r}")
-            grp = groups[toks[2]]
-            if kind == "base":
-                nodes[toks[1]] = BaseNode(grp, name=toks[1])
+        try:
+            if kind == "group":
+                if len(toks) < 3:
+                    raise SchemeError("group needs a name and a source")
+                spec = " ".join(toks[2:])
+                cand = os.path.join(base_dir, spec)
+                groups[toks[1]] = fingrp.named_group(
+                    cand if os.path.exists(cand) else spec)
+            elif kind in ("base", "hat"):
+                if len(toks) != 3:
+                    raise SchemeError(f"{kind} needs a name and a group")
+                if toks[2] not in groups:
+                    raise SchemeError(f"unknown group {toks[2]!r}")
+                grp = groups[toks[2]]
+                if kind == "base":
+                    nodes[toks[1]] = BaseNode(grp, name=toks[1])
+                else:
+                    nodes[toks[1]] = hat_base(grp, name=toks[1])
+                last = nodes[toks[1]]
+            elif kind == "amalgam":
+                if len(toks) < 6:
+                    raise SchemeError("malformed amalgam directive")
+                left = node_of(toks[2])
+                right = node_of(toks[3])
+                mode = toks[4]
+                if mode == "shared":
+                    l, r = pairs_of(toks[5:])
+                    shared = ExplicitShared(l, r)
+                elif mode == "cyclic":
+                    lg, _, rg = toks[5].partition(":")
+                    window = int(toks[6]) if len(toks) > 6 else 16
+                    shared = CyclicShared(int(lg), int(rg), window)
+                else:
+                    raise SchemeError("amalgam mode must be 'shared' or "
+                                      "'cyclic'")
+                nodes[toks[1]] = AmalgamNode(left, right, shared, name=toks[1])
+                last = nodes[toks[1]]
+            elif kind == "hnn":
+                if len(toks) < 5:
+                    raise SchemeError("malformed hnn directive")
+                base = node_of(toks[2])
+                mode = toks[3]
+                if mode == "assoc":
+                    a, b = pairs_of(toks[4:])
+                    assoc = ExplicitAssoc(a, b)
+                elif mode == "cyclic":
+                    ag, _, bg = toks[4].partition(":")
+                    window = int(toks[5]) if len(toks) > 5 else 16
+                    assoc = CyclicAssoc(int(ag), int(bg), window)
+                else:
+                    raise SchemeError("hnn mode must be 'assoc' or 'cyclic'")
+                nodes[toks[1]] = HnnNode(base, assoc, name=toks[1])
+                last = nodes[toks[1]]
+            elif kind == "target":
+                if len(toks) != 2:
+                    raise SchemeError("target needs a node name")
+                target = node_of(toks[1])
             else:
-                nodes[toks[1]] = hat_base(grp, name=toks[1])
-            last = nodes[toks[1]]
-        elif kind == "amalgam":
-            if len(toks) < 6:
-                raise SchemeError(f"line {lineno}: malformed amalgam directive")
-            left = node_of(toks[2], lineno)
-            right = node_of(toks[3], lineno)
-            mode = toks[4]
-            if mode == "shared":
-                l, r = pairs_of(toks[5:], lineno)
-                shared = ExplicitShared(l, r)
-            elif mode == "cyclic":
-                lg, _, rg = toks[5].partition(":")
-                window = int(toks[6]) if len(toks) > 6 else 16
-                shared = CyclicShared(int(lg), int(rg), window)
-            else:
-                raise SchemeError(f"line {lineno}: amalgam mode must be "
-                                  f"'shared' or 'cyclic'")
-            nodes[toks[1]] = AmalgamNode(left, right, shared, name=toks[1])
-            last = nodes[toks[1]]
-        elif kind == "hnn":
-            if len(toks) < 5:
-                raise SchemeError(f"line {lineno}: malformed hnn directive")
-            base = node_of(toks[2], lineno)
-            mode = toks[3]
-            if mode == "assoc":
-                a, b = pairs_of(toks[4:], lineno)
-                assoc = ExplicitAssoc(a, b)
-            elif mode == "cyclic":
-                ag, _, bg = toks[4].partition(":")
-                window = int(toks[5]) if len(toks) > 5 else 16
-                assoc = CyclicAssoc(int(ag), int(bg), window)
-            else:
-                raise SchemeError(f"line {lineno}: hnn mode must be 'assoc' "
-                                  f"or 'cyclic'")
-            nodes[toks[1]] = HnnNode(base, assoc, name=toks[1])
-            last = nodes[toks[1]]
-        elif kind == "target":
-            if len(toks) != 2:
-                raise SchemeError(f"line {lineno}: target needs a node name")
-            target = node_of(toks[1], lineno)
-        else:
-            raise SchemeError(f"line {lineno}: unknown directive {kind!r}")
+                raise SchemeError(f"unknown directive {kind!r}")
+        except (SchemeError, fingrp.GroupError, ValueError) as exc:
+            # every error on a line, the node constructors' included, names it
+            exc.args = (f"line {lineno}: {exc}",)
+            raise
     if target is None:
         target = last
     if target is None:

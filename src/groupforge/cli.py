@@ -555,6 +555,17 @@ def _add_sc_relator_flags(p):
                    help="metric bound as an exact fraction")
 
 
+class _UsageError(Exception):
+    """A malformed command line, reported by `run` instead of by argparse."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # subparsers are made with the parser's own class, so they raise too;
+    # argparse would print a usage block on stderr and exit
+    def error(self, message):
+        raise _UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
@@ -568,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--samples", type=int, default=argparse.SUPPRESS,
                         help="sample count for probes (default 200)")
 
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="forge", parents=[common],
         description="Finite-scale toolkit for tower-group constructions.")
     top = ap.add_subparsers(dest="command", required=True)
@@ -724,8 +735,11 @@ def run(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_OK if exc.code in (0, None) else EXIT_INPUT
+    except _UsageError as exc:
+        print(f"error: {exc}")
+        return EXIT_INPUT
+    except SystemExit:  # --help, the only exit left to argparse
+        return EXIT_OK
     try:
         session = Session(seed=getattr(args, "seed", 0),
                           budget=getattr(args, "budget", None),

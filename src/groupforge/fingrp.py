@@ -7,13 +7,19 @@ Conjugation of x by g means g^-1 x g.
 
 The searches (homomorphism enumeration, automorphism groups, the suitability
 and localization checks) all enumerate candidate generator images filtered by
-element order, then verify on the full table.  Costs are estimated up front
-against a budget so a hopeless search fails fast instead of spinning.
+element order.  A candidate is extended along a breadth-first spanning tree
+of the Cayley graph and rejected at the first off-tree edge (x, gen) where
+img[x gen] != img[x] img[gen]; a candidate that survives every edge is still
+verified on the whole table before it is yielded.  Automorphism groups keep
+their maps as rows of one array and compose and look them up a row at a time.
+Costs are estimated up front against a budget so a hopeless search fails fast
+instead of spinning.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Iterable, Optional
@@ -323,9 +329,13 @@ class GroupHom:
         return GroupHom(self.src, other.dst, tuple(other.img[x] for x in self.img))
 
     def check(self) -> bool:
-        imga = np.asarray(self.img, dtype=np.int32)
-        return np.array_equal(self.dst.table[imga[:, None], imga[None, :]],
-                              imga[self.src.table])
+        return _respects_tables(self.src, self.dst, self.img)
+
+
+def _respects_tables(src: FiniteGroup, dst: FiniteGroup, img) -> bool:
+    """The full-table check: img[a b] == img[a] img[b] for every pair."""
+    a = np.asarray(img, dtype=np.int32)
+    return np.array_equal(dst.table[a][:, a], a[src.table])
 
 
 def identity_hom(g: FiniteGroup) -> GroupHom:
@@ -361,8 +371,10 @@ def enumerate_homs(src: FiniteGroup, dst: FiniteGroup, *, injective=False,
     """Yield all homomorphisms src -> dst, in a deterministic order.
 
     Candidate generator images are filtered by element order (divisibility,
-    or equality when injective), then each full image map is verified on the
-    whole table at once.
+    or equality when injective).  Each candidate is extended along the
+    breadth-first tree of the Cayley graph and rejected at the first off-tree
+    edge (x, gen) with img[x gen] != img[x] img[gen]; every survivor is then
+    verified on the whole table before it is yielded.
     """
     if budget is None:
         budget = default_budget()
@@ -390,48 +402,85 @@ def enumerate_homs(src: FiniteGroup, dst: FiniteGroup, *, injective=False,
             f"homomorphism search needs ~{estimate} operations, budget {budget}",
             estimate=estimate, budget=budget)
     steps = _bfs_expressions(src, gens)
-    dT = dst.table
-    img = np.empty(src.n, dtype=np.int32)
+    sT = src.table.tolist()
+    dT = dst.table.tolist()
+    tree = {(parent, pos) for _, parent, pos in steps}
+    edges = [(x, pos, sT[x][gen])
+             for x in [src.identity] + [elem for elem, _, _ in steps]
+             for pos, gen in enumerate(gens) if (x, pos) not in tree]
+    n = src.n
     for choice in iproduct(*cands):
-        img[src.identity] = dst.identity
-        for pos, gen in enumerate(gens):
-            img[gen] = choice[pos]
+        img = [dst.identity] * n
         for elem, parent, pos in steps:
-            img[elem] = dT[img[parent], choice[pos]]
-        if injective and len(np.unique(img)) != src.n:
-            continue
-        if np.array_equal(dT[img[:, None], img[None, :]], img[src.table]):
-            yield GroupHom(src, dst, tuple(int(v) for v in img))
+            img[elem] = dT[img[parent]][choice[pos]]
+        for x, pos, y in edges:
+            if img[y] != dT[img[x]][choice[pos]]:
+                break
+        else:
+            if injective and len(set(img)) != n:
+                continue
+            if _respects_tables(src, dst, img):
+                yield GroupHom(src, dst, tuple(img))
 
 
 # -- automorphisms ------------------------------------------------------------
 
 class AutGroup(FiniteGroup):
-    """Automorphism group of `source`; element i is the map self.maps[i]."""
+    """Automorphism group of `source`; element i is the map self.maps[i].
+
+    The maps are the rows of one int32 array.  Table row i is one gather,
+    every map composed after maps[i], and each composite is found by an exact
+    match of the whole row against the maps in sorted order.
+    """
 
     def __init__(self, source: FiniteGroup, maps):
         self.source = source
-        self.maps = [tuple(m) for m in maps]
-        self.map_index = {m: i for i, m in enumerate(self.maps)}
-        n = len(self.maps)
+        self.maps = np.ascontiguousarray(maps, dtype=np.int32).reshape(
+            -1, source.n)
+        # one opaque key per whole row, so rows sort and match as units
+        self._key = np.dtype((np.void, self.maps.itemsize * source.n))
+        keys = self.maps.view(self._key).ravel()
+        self._order = np.argsort(keys, kind="stable")
+        self._sorted = keys[self._order]
+        if np.any(self._sorted[1:] == self._sorted[:-1]):
+            raise GroupError("automorphism list repeats a map")
+        M = self.maps
+        n = len(M)
         table = np.empty((n, n), dtype=np.int32)
-        for i, a in enumerate(self.maps):
-            for j, b in enumerate(self.maps):
-                composed = tuple(b[x] for x in a)  # a then b
-                table[i, j] = self.map_index[composed]
+        for i in range(n):
+            table[i] = self._index_of(M[:, M[i]],
+                                       lambda j: f"map {i} then map {j}")
         super().__init__(table, name=f"aut({source.name})", check=False)
 
+    def _index_of(self, rows, what) -> np.ndarray:
+        """Index of the map equal to each row.  A row that is no map raises
+        GroupError, naming the first such row k by what(k)."""
+        keys = np.ascontiguousarray(rows, dtype=np.int32).view(self._key).ravel()
+        pos = np.searchsorted(self._sorted, keys)
+        pos[pos == len(self._sorted)] = 0
+        hit = self._sorted[pos] == keys
+        if not hit.all():
+            raise GroupError(f"{what(int(np.argmin(hit)))} is not among the maps")
+        return self._order[pos]
+
+    def _inner_rows(self, gs) -> np.ndarray:
+        """Row k is conjugation by gs[k] as a map, x -> gs[k]^-1 x gs[k]."""
+        T, inv = self.source.table, self.source.inv
+        gs = np.asarray(gs)
+        return T[T[inv[gs]], gs[:, None]]
+
     def apply(self, i: int, x: int) -> int:
-        return self.maps[i][x]
+        return int(self.maps[i, x])
 
     def inner_index(self, g: int) -> int:
-        src = self.source
-        m = tuple(src.conj(x, g) for x in range(src.n))
-        return self.map_index[m]
+        return int(self._index_of(self._inner_rows([g]),
+                                  lambda _: f"conjugation by {g}")[0])
 
     def inner_embedding(self) -> GroupHom:
         src = self.source
-        return GroupHom(src, self, tuple(self.inner_index(g) for g in range(src.n)))
+        idx = self._index_of(self._inner_rows(np.arange(src.n)),
+                             lambda g: f"conjugation by {g}")
+        return GroupHom(src, self, tuple(idx.tolist()))
 
     def inner_image(self) -> tuple:
         return tuple(sorted(set(self.inner_embedding().img)))
@@ -486,7 +535,8 @@ def is_suitable(h: FiniteGroup, *, budget: Optional[int] = None) -> SuitabilityR
         return SuitabilityReport(h.name, False, torsion, False, False, False, 0, witness)
 
     aut = automorphism_group(h, budget=budget)
-    inner_set = aut.inner_image()
+    iota = aut.inner_embedding().img
+    inner_set = tuple(sorted(set(iota)))
 
     unique_copy = True
     for hom in enumerate_homs(h, aut, injective=True, budget=budget):
@@ -497,13 +547,16 @@ def is_suitable(h: FiniteGroup, *, budget: Optional[int] = None) -> SuitabilityR
 
     extends_inner = True
     if unique_copy:
-        gens = h.generating_set()
-        iota = aut.inner_embedding().img
-        for a in range(aut.n):
-            # want b in Aut with b^-1 iota(x) b == iota(a(x)) for all x
-            target = {gen: iota[aut.apply(a, gen)] for gen in gens}
-            if not any(all(aut.conj(iota[gen], b) == t for gen, t in target.items())
-                       for b in range(aut.n)):
+        # want b in Aut with b^-1 iota(x) b == iota(a(x)) for all x; it is
+        # enough to match on generators, so compare each a's generator
+        # targets with the generator conjugates of every b at once
+        gens = np.array(h.generating_set(), dtype=np.intp)
+        iota_arr = np.asarray(iota)
+        T, b = aut.table, np.arange(aut.n)[:, None]
+        by_b = set(map(tuple, T[T[aut.inv[b], iota_arr[gens]], b].tolist()))
+        targets = iota_arr[aut.maps[:, gens]].tolist()
+        for a, target in enumerate(map(tuple, targets)):
+            if target not in by_b:
                 extends_inner = False
                 witness = f"automorphism {a} does not extend to an inner one"
                 break
@@ -533,10 +586,11 @@ def is_localization(eta: GroupHom, *, budget: Optional[int] = None) -> Localizat
     h, g = eta.src, eta.dst
     endos = list(enumerate_homs(g, g, budget=budget))
     homs = list(enumerate_homs(h, g, budget=budget))
+    through = Counter(eta.then(e).img for e in endos)
     for phi in homs:
-        exts = [e for e in endos if eta.then(e).img == phi.img]
-        if len(exts) != 1:
-            kind = "no extension" if not exts else f"{len(exts)} extensions"
+        k = through[phi.img]
+        if k != 1:
+            kind = "no extension" if not k else f"{k} extensions"
             return LocalizationReport(False, len(homs), len(endos),
                                       f"map with images {phi.img} has {kind}")
     return LocalizationReport(True, len(homs), len(endos), None)

@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from groupforge.cli import (EXIT_FALSE, EXIT_INPUT, EXIT_OK, EXIT_UNDECIDED,
                             run)
@@ -599,17 +600,121 @@ def test_negative_samples_is_an_input_error(capsys):
 
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == EXIT_OK
-    capsys.readouterr()
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: forge")
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("argv", [
     [],
     ["group", "check", "z6", "--frobnicate"],
     ["group", "frobnicate", "z6"],
+    # "-1/10" reads as a flag, so --bound is left without its value
+    ["sc", "certify", "prod.scheme", "--bound", "-1/10"],
+    ["group", "aut"],
+    ["frobnicate"],
 ])
 def test_usage_errors_exit_three(capsys, argv):
     assert run(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out.startswith("error: ")
+    assert len(captured.out.splitlines()) == 1
+    assert captured.err == ""
+
+
+def test_node_constructor_errors_carry_the_scheme_line(capsys, tmp_path):
+    path = tmp_path / "bad.scheme"
+    path.write_text(FP57.replace("shared 0=0", "shared 0=0 9=9"))
+    code, out = forge(capsys, "word", "reduce", str(path), "f0:1")
+    assert code == EXIT_INPUT
+    assert out == ("error: line 5: top shared subgroup: element index 9 "
+                   "unknown at b1\n")
+
+
+# -- fuzzing the argument vector ----------------------------------------------
+
+PROD_SCHEME = str(ROOT / "bench" / "data" / "prod.scheme")
+FUZZ_GROUPS = ["z2", "z3", "z4", "z5", "z6", "s3", "a4", "d4", "nosuch", "z0",
+               "d2", "s3xq"]
+FUZZ_WORDS = ["f0:1", "f0:2 f1:3", "f1:6 f0:4 f1:1", "f9:1", "f0:99", "t1",
+              "x", ""]
+FUZZ_INTS = ["0", "1", "3", "-1", "-7", "2.5", "x", ""]
+FUZZ_BOUNDS = ["1/10", "1/6", "1/0", "-1/10", "0", "abc", "0.1"]
+FUZZ_BLOCKS = ["0", "0,1", "1,3,5", "0,1,2,3", "", "x", "-1,2"]
+FUZZ_SCHEMES = [PROD_SCHEME] * 3 + ["/nonexistent/prod.scheme"]
+
+
+def _pick(values):
+    return st.sampled_from(values)
+
+
+def _argv(*parts):
+    """Strategy for an argument tuple: each part is a fixed string or a
+    strategy, and a drawn tuple is spliced in (so `()` drops a value)."""
+    drawn = st.tuples(*(st.just(p) if isinstance(p, str) else p
+                        for p in parts))
+    return drawn.map(lambda ds: tuple(
+        t for d in ds for t in ((d,) if isinstance(d, str) else d)))
+
+
+def _flags(*choices, max_size):
+    return st.lists(st.one_of(*choices), max_size=max_size).map(
+        lambda fs: tuple(t for f in fs for t in f))
+
+
+_scheme, _word, _int, _group, _blocks = (
+    _pick(FUZZ_SCHEMES), _pick(FUZZ_WORDS), _pick(FUZZ_INTS),
+    _pick(FUZZ_GROUPS), _pick(FUZZ_BLOCKS))
+_sc_flags = _flags(_argv("--n", _int), _argv("--bound", _pick(FUZZ_BOUNDS)),
+                   _argv("--x0", _word), _argv("--relator", _word),
+                   _argv("--z", _word), max_size=3)
+
+FUZZ_COMMANDS = st.one_of(
+    _argv("group", _pick(["check", "aut", "suitable", "complete"]), _group),
+    _argv("group", "socle", _group, _group),
+    _argv("group", "localization", "--eta", _scheme),
+    _argv(_pick(["word", "amalgam", "hnn"]),
+          _pick(["reduce", "invert", "nf", "torsion-conj"]), _scheme, _word),
+    _argv("amalgam", "centralizer-check", _scheme, _word, "--cand", _word),
+    _argv("hnn", "make-conjugate", _scheme, _word, _word),
+    _argv("hnn", "realize-iso", _scheme, "--a", _blocks, "--b", _blocks,
+          "--a-hat", _blocks, "--b-hat", _blocks),
+    _argv("sc", _pick(["certify", "probe"]), _scheme, _sc_flags),
+    _argv("sc", "decide", _scheme, _word, _sc_flags),
+    _argv("sc", "tau", "--n", _int),
+    _argv("sc", "obstruct", _scheme, "--y0", _word, "--n", _int),
+    _argv("universe", _pick(["assign", "check"]), _scheme, "--blocks",
+          _blocks),
+    _argv("universe", _pick(["code", "probe"]), "--h", _group, "--master",
+          _blocks),
+    _argv("universe", "density-dom", "--h", _group, "--blocks", _blocks,
+          "--alpha", _int),
+    _argv("universe", "density-simple", "--h", _group, "--blocks", _blocks,
+          "--x", _word, "--y", _word),
+    _argv(_pick(["frobnicate", "group", "sc", "universe", "--help"])),
+)
+FUZZ_GLOBALS = _flags(_argv(
+    _pick(["--seed", "--budget", "--samples", "--g0-window"]),
+    _pick(["0", "1", "5", "40", "-1", "1/2", "x", ()])), max_size=2)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(FUZZ_GLOBALS, FUZZ_COMMANDS, _pick([None] * 4 + list(range(5))),
+       st.booleans())
+def test_fuzzed_command_lines_never_reach_stderr(capsys, flags, command, keep,
+                                                 flags_last):
+    """Any argument vector drawn from the commands, their flags and bad
+    values ends in one of the four exit codes with nothing on stderr.
+    `keep` may truncate the command, so required arguments go missing."""
+    command = list(command[:None if keep is None else keep + 1])
+    argv = command + list(flags) if flags_last else list(flags) + command
     capsys.readouterr()
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code in (EXIT_OK, EXIT_FALSE, EXIT_UNDECIDED, EXIT_INPUT), argv
+    assert captured.err == "", argv
 
 
 def test_repeated_runs_are_byte_identical(forge_bin):

@@ -3,18 +3,21 @@ and the suitability / completeness / localization verdicts.
 
 The automorphism counts are checked against a from-scratch oracle that tries
 every bijection of the element set, so the backtracking search in the module
-is never trusted on its own word for the small cases.
+is never trusted on its own word for the small cases.  The table-driven
+searches are also compared, result for result, with oracles that run the
+plain per-candidate and per-pair loops they replace.
 """
 
 import math
-from itertools import permutations
+from itertools import permutations, product as iproduct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from groupforge import fingrp
-from groupforge.fingrp import (BudgetExceeded, FiniteGroup, GroupError,
-                               GroupHom, alternating, automorphism_group,
+from groupforge.fingrp import (AutGroup, BudgetExceeded, FiniteGroup,
+                               GroupError, GroupHom, alternating,
+                               automorphism_group,
                                cyclic, dihedral, direct_product,
                                enumerate_homs, h_socle, identity_hom,
                                is_complete, is_isomorphic, is_localization,
@@ -257,3 +260,172 @@ def test_load_group_and_named_specs(tmp_path):
     assert named_group("1").n == 1
     with pytest.raises(GroupError):
         named_group("nosuchgroup99x")
+
+
+# -- the table-driven searches against the loops they replace ---------------
+
+def oracle_homs(src, dst, injective=False):
+    """Every candidate extended in full and checked on the whole table."""
+    gens = src.generating_set()
+    if not gens:
+        return [(dst.identity,) * src.n]
+    orders = dst.element_orders()
+    cands = []
+    for gen in gens:
+        o = src.order_of(gen)
+        cands.append([d for d in range(dst.n)
+                      if (orders[d] == o if injective else o % orders[d] == 0)])
+    steps = fingrp._bfs_expressions(src, gens)
+    out = []
+    for choice in iproduct(*cands):
+        img = [None] * src.n
+        img[src.identity] = dst.identity
+        for elem, parent, pos in steps:
+            img[elem] = dst.mul(img[parent], choice[pos])
+        if injective and len(set(img)) != src.n:
+            continue
+        if all(img[src.mul(a, b)] == dst.mul(img[a], img[b])
+               for a in range(src.n) for b in range(src.n)):
+            out.append(tuple(img))
+    return out
+
+
+def oracle_map_index(aut):
+    return {tuple(int(v) for v in m): i for i, m in enumerate(aut.maps)}
+
+
+def oracle_aut_table(maps):
+    index = {m: i for i, m in enumerate(maps)}
+    return [[index[tuple(b[x] for x in a)] for b in maps] for a in maps]
+
+
+def oracle_inner_embedding(aut):
+    src, index = aut.source, oracle_map_index(aut)
+    return tuple(index[tuple(src.conj(x, g) for x in range(src.n))]
+                 for g in range(src.n))
+
+
+def oracle_is_complete(g):
+    center = g.center()
+    aut = automorphism_group(g)
+    inner = set(oracle_inner_embedding(aut))
+    outer = next((i for i in range(aut.n) if i not in inner), None)
+    return fingrp.CompletenessReport(g.name, len(center) == 1 and outer is None,
+                                     len(center), aut.n, outer)
+
+
+def oracle_is_suitable(h):
+    center = h.center()
+    if len(center) != 1:
+        z = next(z for z in center if z != h.identity)
+        return fingrp.SuitabilityReport(h.name, False, True, False, False,
+                                        False, 0, f"central element {z}")
+    aut = automorphism_group(h)
+    iota = oracle_inner_embedding(aut)
+    inner_set = tuple(sorted(set(iota)))
+    witness = None
+    unique_copy = True
+    for img in oracle_homs(h, aut, injective=True):
+        image = tuple(sorted(set(img)))
+        if image != inner_set:
+            unique_copy = False
+            witness = f"embedding with image {image} != inner copy"
+            break
+    extends_inner = True
+    if unique_copy:
+        gens = h.generating_set()
+        for a in range(aut.n):
+            target = {gen: iota[aut.apply(a, gen)] for gen in gens}
+            if not any(all(aut.conj(iota[gen], b) == t
+                           for gen, t in target.items())
+                       for b in range(aut.n)):
+                extends_inner = False
+                witness = f"automorphism {a} does not extend to an inner one"
+                break
+    return fingrp.SuitabilityReport(h.name, unique_copy and extends_inner,
+                                    True, True, unique_copy, extends_inner,
+                                    aut.n, witness)
+
+
+def oracle_is_localization(eta):
+    g = eta.dst
+    endos = oracle_homs(g, g)
+    homs = oracle_homs(eta.src, g)
+    for phi in homs:
+        exts = [e for e in endos if tuple(e[x] for x in eta.img) == phi]
+        if len(exts) != 1:
+            kind = "no extension" if not exts else f"{len(exts)} extensions"
+            return fingrp.LocalizationReport(
+                False, len(homs), len(endos),
+                f"map with images {phi} has {kind}")
+    return fingrp.LocalizationReport(True, len(homs), len(endos), None)
+
+
+HOM_POOL = ["1", "z2", "z3", "z4", "z6", "z2xz2", "z2xz4", "z3xz3", "s3",
+            "d4", "q8", "a4", "s4"]
+
+
+@pytest.mark.parametrize("src", HOM_POOL)
+def test_enumerate_homs_matches_full_table_oracle(src):
+    h = named_group(src)
+    for dst in HOM_POOL:
+        g = named_group(dst)
+        for injective in (False, True):
+            got = [hom.img for hom in enumerate_homs(h, g, injective=injective)]
+            assert got == oracle_homs(h, g, injective), (src, dst, injective)
+
+
+@pytest.mark.parametrize("spec", ["s3", "d4", "q8", "a4", "s4", "a5"])
+def test_aut_table_matches_tuple_composition(spec):
+    aut = automorphism_group(named_group(spec))
+    maps = [tuple(int(v) for v in m) for m in aut.maps]
+    assert aut.table.tolist() == oracle_aut_table(maps)
+    assert aut.inner_embedding().img == oracle_inner_embedding(aut)
+    assert [aut.inner_index(g) for g in range(aut.source.n)] == \
+        list(oracle_inner_embedding(aut))
+
+
+def test_aut_table_of_shuffled_maps():
+    maps = sorted(automorphism_group(named_group("s4")).maps.tolist())
+    maps = [tuple(m) for m in maps[7:] + maps[:7]]
+    aut = AutGroup(named_group("s4"), maps)
+    assert aut.table.tolist() == oracle_aut_table(maps)
+
+
+def test_aut_group_rejects_maps_not_closed_under_composition():
+    s3 = symmetric(3)
+    maps = [tuple(m) for m in automorphism_group(s3).maps.tolist()]
+    with pytest.raises(GroupError, match="not among the maps"):
+        AutGroup(s3, maps[:4])
+    with pytest.raises(GroupError, match="repeats a map"):
+        AutGroup(s3, maps + maps[:1])
+    inner = AutGroup(s3, [maps[0]])   # only the identity map
+    with pytest.raises(GroupError, match="conjugation by"):
+        inner.inner_embedding()
+
+
+# s3xs3 has a second copy of itself in its automorphism group, which
+# exercises the unique-copy witness; d5 and d7 are centerless
+REPORT_GROUPS = sorted(set(AUT_ORDERS) | {"s4", "a4", "a5", "s5", "z2xz2",
+                                          "s3xs3", "d5", "d7", "s3xz2"})
+
+
+@pytest.mark.parametrize("spec", REPORT_GROUPS)
+def test_suitable_and_complete_reports_match_oracle(spec):
+    g = named_group(spec)
+    assert is_complete(g) == oracle_is_complete(g)
+    assert is_suitable(g) == oracle_is_suitable(g)
+
+
+SMALL_ABELIAN = ["z2", "z3", "z4", "z5", "z6", "z7", "z8", "z2xz2",
+                 "z2xz4", "z3xz3"]
+
+
+@pytest.mark.parametrize("dst", SMALL_ABELIAN)
+def test_localization_matches_all_pairs_oracle(dst):
+    g = named_group(dst)
+    for src in SMALL_ABELIAN:
+        h = named_group(src)
+        for eta in enumerate_homs(h, g):
+            assert is_localization(eta) == oracle_is_localization(eta), \
+                (src, dst, eta.img)
