@@ -21,7 +21,8 @@ order.  Cyclic shared subgroups with an infinite-order generator are explored
 through a +-window of powers; whenever a representative choice lands on the
 window edge the operation raises instead of silently truncating.  Both node
 kinds share one coset scan, memoised per node by (side, element); an edge hit
-is never memoised, so it raises on every call.
+is never memoised, so it raises on every call.  One helper picks the least
+candidate for every scan, the relator systems' syllable classes included.
 """
 
 from __future__ import annotations
@@ -305,6 +306,16 @@ class Node:
     # coset representatives (compound nodes set _bound, _coset_factors and
     # _edge_what)
 
+    def _least(self, side, candidates, edge_error: str):
+        """The structurally least of the (element, at_window_edge, ...)
+        candidates, elements of the factor on `side`; the first one on ties.
+        Raises SchemeError(edge_error) when it lies on the window edge."""
+        key = self._coset_factors[side].elem_key
+        best = min(candidates, key=lambda c: key(c[0]))
+        if best[1]:
+            raise SchemeError(edge_error)
+        return best
+
     def _coset_data(self, side, elem):
         """elem = carry . rep with carry in the bound subgroup on `side` and
         rep the structurally least element of its right coset.
@@ -316,19 +327,11 @@ class Node:
         if got is not None:
             return got
         fac = self._coset_factors[side]
-        best_key = None
-        best = None
-        for s_elem, at_edge in self._bound.scan(side):
-            cand = fac.mul_elem(s_elem, elem)
-            key = fac.elem_key(cand)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (cand, s_elem, at_edge)
-        rep, s_elem, at_edge = best
-        if at_edge and self._bound.cyclic_infinite:
-            raise SchemeError(
-                f"{self.name}: coset representative fell on the "
-                f"{self._edge_what} edge; rerun with a larger window")
+        rep, _, s_elem = self._least(
+            side, ((fac.mul_elem(s, elem), at_edge, s)
+                   for s, at_edge in self._bound.scan(side)),
+            f"{self.name}: coset representative fell on the "
+            f"{self._edge_what} edge; rerun with a larger window")
         got = (rep, fac.inv_elem(s_elem))
         self._cosets[(side, elem)] = got
         return got
@@ -510,28 +513,26 @@ class AmalgamNode(Node):
             return 1
         return self.factors[core[0][1]].elem_order(core[0][2])
 
-    def is_weakly_cyclically_reduced(self, w) -> bool:
-        r = self.reduce(w)
-        if len(r) <= 1:
-            return True
-        if r[0][1] != r[-1][1]:
-            return True
+    def _ends_merge(self, r) -> bool:
+        """The reduced word r has two or more syllables and its last and
+        first multiply to 1 or into the shared subgroup, so a cyclic
+        permutation shortens it."""
+        if len(r) < 2 or r[0][1] != r[-1][1]:
+            return False
         side = r[0][1]
-        prod = self.factors[side].mul_elem(r[-1][2], r[0][2])
-        return not (self.factors[side].is_identity_elem(prod)
-                    or self._shared.member(side, prod))
+        fac = self.factors[side]
+        prod = fac.mul_elem(r[-1][2], r[0][2])
+        return fac.is_identity_elem(prod) or self._shared.member(side, prod)
+
+    def is_weakly_cyclically_reduced(self, w) -> bool:
+        return not self._ends_merge(self.reduce(w))
 
     def weakly_cyclic_reduce(self, w):
         """Return (core, conj) with w = conj^-1 . core . conj and core
         weakly cyclically reduced."""
         cur = self.reduce(w)
         conj = EMPTY
-        while len(cur) >= 2 and cur[0][1] == cur[-1][1]:
-            side = cur[0][1]
-            fac = self.factors[side]
-            prod = fac.mul_elem(cur[-1][2], cur[0][2])
-            if not (fac.is_identity_elem(prod) or self._shared.member(side, prod)):
-                break
+        while self._ends_merge(cur):
             first = SyllableWord([cur[0]])
             inv_first = self.invert_word(first)
             cur = self.reduce(W.concat(W.concat(inv_first, cur, self.ops), first,
@@ -694,28 +695,6 @@ class HnnNode(Node):
 
 
 # -- operations on towers -------------------------------------------------------
-
-def amalgam_reduce(node: Node, w) -> SyllableWord:
-    return node.reduce(w)
-
-
-def britton_reduce(node: HnnNode, w) -> SyllableWord:
-    if not isinstance(node, HnnNode):
-        raise SchemeError("britton reduction applies to stable-letter extensions")
-    return node.reduce(w)
-
-
-def is_weakly_cyclically_reduced(node: AmalgamNode, w) -> bool:
-    return node.is_weakly_cyclically_reduced(w)
-
-
-def weakly_cyclic_reduce(node: AmalgamNode, w):
-    return node.weakly_cyclic_reduce(w)
-
-
-def order_of(node: Node, w):
-    return node.order_of(w)
-
 
 @dataclass
 class TorsionEmbedding:
@@ -959,9 +938,8 @@ def realize_iso_by_hnn(node: Node, a_elems, b_elems, a_hat, b_hat,
     n1 = HnnNode(node, ExplicitAssoc(list(hat_elems),
                                      [f1map[e] for e in hat_elems]),
                  name=(name or node.name) + "+iso1")
-    lift1 = n1.lift
-    n2 = HnnNode(n1, ExplicitAssoc([lift1(e) for e in hat_elems],
-                                   [lift1(f2map[e]) for e in hat_elems]),
+    n2 = HnnNode(n1, ExplicitAssoc([n1.lift(e) for e in hat_elems],
+                                   [n1.lift(f2map[e]) for e in hat_elems]),
                  name=(name or node.name) + "+iso2")
 
     u = n1.intern(SyllableWord([(LETTER, n1.letter, -1), (FACTOR, 0, g)]))

@@ -5,7 +5,8 @@ line-oriented `key: value` report.  Runs are deterministic: the same inputs,
 seed and budget produce byte-identical output.
 
 Exit codes: 0 success or verdict-true, 1 verdict-false (a witness block is
-printed), 2 undecided or budget exhausted, 3 malformed input.
+printed), 2 undecided or budget exhausted, 3 malformed input, 4 an internal
+error (a bug, reported as one `error: internal: ...` line).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_UNDECIDED = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 
 @dataclass
@@ -234,7 +236,7 @@ def _cmd_amalgam_nf(args, s):
     return [f"node: {node.name}", f"canonical: {node.format(w)}",
             f"syllables: {len(w)}",
             f"weakly-cyclically-reduced: "
-            f"{_bool(amalgam.is_weakly_cyclically_reduced(node, w))}"], EXIT_OK
+            f"{_bool(node.is_weakly_cyclically_reduced(w))}"], EXIT_OK
 
 
 def _cmd_amalgam_torsion(args, s):
@@ -288,7 +290,7 @@ def _hnn_target(args):
 
 def _cmd_hnn_reduce(args, s):
     node = _hnn_target(args)
-    r = amalgam.britton_reduce(node, node.parse(args.word))
+    r = node.reduce(node.parse(args.word))
     letters = sum(1 for syl in r if syl[0] == "t")
     return [f"node: {node.name}", f"letter: t{node.letter}",
             f"reduced: {node.format(r)}", f"syllables: {len(r)}",
@@ -755,6 +757,9 @@ def run(argv=None) -> int:
     except (SchemeError, GroupError, ValueError, OSError) as exc:
         print(f"error: {exc}")
         return EXIT_INPUT
+    except Exception as exc:  # a bug: keep it apart from the verdict codes
+        print(f"error: internal: {type(exc).__name__}: {exc}")
+        return EXIT_INTERNAL
     for line in lines:
         print(line)
     return code

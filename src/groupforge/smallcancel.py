@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Optional
@@ -133,24 +133,17 @@ class RelatorSystem:
             side, elem = syl[1], syl[2]
             fac = node.factors[side]
             lrep, _ = node._coset_data(side, elem)
-            rbest = None
-            dbest = None
-            for s_elem, edge1 in shared.scan(side):
-                cand = fac.mul_elem(elem, s_elem)
-                key = fac.elem_key(cand)
-                if rbest is None or key < rbest[0]:
-                    rbest = (key, cand, edge1)
-                for s2, edge2 in shared.scan(side):
-                    c2 = fac.mul_elem(s2, cand)
-                    k2 = fac.elem_key(c2)
-                    if dbest is None or k2 < dbest[0]:
-                        dbest = (k2, c2, edge1 or edge2)
-            if rbest[2] or dbest[2]:
-                raise SchemeError(
-                    "coset scan reached the window edge while classifying a "
-                    "syllable; rerun with a larger window")
+            edge_error = ("coset scan reached the window edge while "
+                          "classifying a syllable; rerun with a larger window")
+            scan = list(shared.scan(side))
+            right = [(fac.mul_elem(elem, s), at_edge) for s, at_edge in scan]
+            rrep, _ = node._least(side, right, edge_error)
+            drep, _ = node._least(
+                side, ((fac.mul_elem(s2, c), edge1 or edge2)
+                       for c, edge1 in right for s2, edge2 in scan),
+                edge_error)
             ids = ((FACTOR, side, elem), (FACTOR, side, lrep),
-                   (FACTOR, side, rbest[1]), (FACTOR, side, dbest[1]))
+                   (FACTOR, side, rrep), (FACTOR, side, drep))
         codes = self._codes
         got = (ids, tuple(codes.setdefault(i, len(codes) + 1) for i in ids))
         self._classes[syl] = got
@@ -250,23 +243,17 @@ def symmetrize(system: RelatorSystem) -> list:
 
 
 @dataclass
-class PieceReport:
+class MetricReport:
     max_piece: int
     relator_lengths: list
     ratio: Fraction
     witness: Optional[tuple]   # ((rel, offset), (rel, offset)) for the max piece
-
-@dataclass
-class MetricReport:
-    ok: bool
-    bound: Fraction
-    max_piece: int
-    ratio: Fraction
-    relator_lengths: list
-    witness: Optional[tuple]
+    # check_metric's verdict: ratio <= bound
+    ok: Optional[bool] = None
+    bound: Optional[Fraction] = None
 
 
-def max_piece(system: RelatorSystem) -> PieceReport:
+def max_piece(system: RelatorSystem) -> MetricReport:
     """Longest fuzzy subword with two distinct occurrences in the
     symmetrized closure."""
     rels = system.cyclic_relators
@@ -322,7 +309,7 @@ def max_piece(system: RelatorSystem) -> PieceReport:
         else:
             hi = mid - 1
     ratio = Fraction(lo, min(lengths))
-    return PieceReport(lo, lengths, ratio, witness)
+    return MetricReport(lo, lengths, ratio, witness)
 
 
 def check_metric(system: RelatorSystem,
@@ -330,8 +317,7 @@ def check_metric(system: RelatorSystem,
     if system._metric_report is None:
         system._metric_report = max_piece(system)
     rep = system._metric_report
-    return MetricReport(rep.ratio <= bound, bound, rep.max_piece, rep.ratio,
-                        rep.relator_lengths, rep.witness)
+    return replace(rep, ok=rep.ratio <= bound, bound=bound)
 
 
 # -- the decision procedure -----------------------------------------------------
@@ -348,10 +334,6 @@ class DehnVerdict:
     max_fraction: Optional[Fraction]
     detail: str
     trace: list = field(default_factory=list)
-
-    @property
-    def is_member(self):
-        return self.status == "member"
 
 
 def _best_match(system: RelatorSystem, w):

@@ -702,14 +702,34 @@ def poset_axiom_probe(family: list, *, samples: int = 20, seed: int = 0,
 
 # -- density moves ------------------------------------------------------------------
 
-def _lift_addr(old: UGroup, node2: Node) -> dict:
-    out = {}
-    for w, a in old.addr.items():
-        if not w:
-            out[EMPTY] = a
-        else:
-            out[node2.canonical(SyllableWord(
-                [(FACTOR, 0, old.node.intern(w))]))] = a
+def _lift(src: Node, dst: Node, w) -> SyllableWord:
+    """The image at dst of a word at src, where src is dst's factor 0."""
+    return EMPTY if not w else dst.canonical(
+        SyllableWord([(FACTOR, 0, src.intern(w))]))
+
+
+def _extend_addr(addr: dict, chain: list, alpha: int) -> dict:
+    """Carry addr up a chain of one-node extensions.  Each link is
+    (src, dst, new words); the new words and their inverses take the next
+    offsets in block alpha, which keeps every boundary closed."""
+    for src, dst, new in chain:
+        addr = {_lift(src, dst, w): a for w, a in addr.items()}
+        off = max((a.offset for a in addr.values() if a.alpha == alpha),
+                  default=-1) + 1
+        for w in new:
+            for c in (dst.canonical(w), dst.canonical(dst.invert_word(w))):
+                if c and c not in addr:
+                    addr[c] = Address(alpha, off)
+                    off += 1
+    return addr
+
+
+def _checked_extension(what: str, g: UGroup, out: UGroup) -> UGroup:
+    rep = check_ugroup(out)
+    if not rep.ok:
+        raise SchemeError(f"{what} step produced a bad group: {rep.detail}")
+    if not le(g, out):
+        raise SchemeError(f"{what} step does not extend its input")
     return out
 
 
@@ -732,7 +752,7 @@ def density_domain_step(q: UGroup, alpha: int, v, *,
     node2 = AmalgamNode(q.node, fresh,
                         ExplicitShared([table.identity], [table.identity]),
                         name=f"{q.node.name}*b{alpha}")
-    addr = _lift_addr(q, node2)
+    addr = {_lift(q.node, node2, w): a for w, a in q.addr.items()}
     off = 0
     for e in range(table.n):
         if table.is_identity(e):
@@ -743,14 +763,9 @@ def density_domain_step(q: UGroup, alpha: int, v, *,
     meta = dict(q.meta)
     meta["standard"] = False
     meta.setdefault("h", table)
-    out = UGroup(node2, addr, q.u | {alpha}, name=f"{q.name}+b{alpha}",
-                 meta=meta, lam=q.lam, lamplus=q.lamplus)
-    rep = check_ugroup(out)
-    if not rep.ok:
-        raise SchemeError(f"domain step produced a bad group: {rep.detail}")
-    if not le(q, out):
-        raise SchemeError("domain step does not extend its input")
-    return out
+    return _checked_extension("domain", q, UGroup(
+        node2, addr, q.u | {alpha}, name=f"{q.name}+b{alpha}", meta=meta,
+        lam=q.lam, lamplus=q.lamplus))
 
 
 @dataclass
@@ -797,7 +812,6 @@ def density_simplicity_step(g: UGroup, x_word, y_word, *,
         raise SchemeError("x and y must be tracked elements")
     if not x or not y:
         raise SchemeError("x and y must be nontrivial")
-    x_alpha = g.addr[x].alpha
 
     # already expressible without extension
     if node.equal(x, y):
@@ -810,186 +824,88 @@ def density_simplicity_step(g: UGroup, x_word, y_word, *,
 
     ox = node.order_of(x)
     oy = node.order_of(y)
+    chain = []
 
-    def lift1(n2, w):
-        return EMPTY if not w else n2.canonical(
-            SyllableWord([(FACTOR, 0, node.intern(w))]))
-
-    def fresh_factor(cur_node, cur_g, tag="w"):
-        table = cur_g.meta.get("h")
+    def fresh_factor(cur: Node, tag: str):
+        """Amalgamate a fresh copy of h onto cur as the next link; returns
+        the new node and the copy's first nontrivial element."""
+        table = g.meta.get("h")
         if table is None:
             raise SchemeError("the step needs a base table recorded on the "
                               "group to attach a fresh factor")
-        fresh = BaseNode(table, name=f"{tag}{len(cur_g.u)}")
-        n2 = AmalgamNode(cur_node, fresh,
-                         ExplicitShared([table.identity], [table.identity]),
-                         name=f"{cur_node.name}*{tag}")
-        picks = [e for e in range(table.n) if not table.is_identity(e)]
-        return n2, SyllableWord([(FACTOR, 1, picks[0])]), \
-            [SyllableWord([(FACTOR, 1, e)]) for e in picks]
+        fresh = BaseNode(table, name=f"{tag}{len(g.u)}")
+        ext = AmalgamNode(cur, fresh,
+                          ExplicitShared([table.identity], [table.identity]),
+                          name=f"{cur.name}*{tag}")
+        singles = [SyllableWord([(FACTOR, 1, e)]) for e in range(table.n)
+                   if not table.is_identity(e)]
+        chain.append((cur, ext, singles))
+        return ext, singles[0]
 
-    def checked_extension(out: UGroup) -> UGroup:
-        rep = check_ugroup(out)
-        if not rep.ok:
-            raise SchemeError(f"simplicity step produced a bad group: "
-                              f"{rep.detail}")
-        if not le(g, out):
-            raise SchemeError("simplicity step does not extend its input")
-        return out
+    def conjugating_letter(cur: Node, u, v):
+        """Extend cur by a stable letter t with t^-1 u t = v, the last link."""
+        ext, t = make_conjugate(cur, u, v, window=window)
+        chain.append((cur, ext, [t]))
+        return ext, t
 
-    def addr_after(n2, extra_words, base_g):
-        """Lift the old addressing and append the new elements (with their
-        inverses, keeping boundary closure) in the block of x."""
-        addr = _lift_addr(base_g, n2)
-        off = base_g.next_offset(x_alpha)
-        for w in extra_words:
-            for c in (n2.canonical(w), n2.canonical(n2.invert_word(w))):
-                if c and c not in addr:
-                    addr[c] = Address(x_alpha, off)
-                    off += 1
-        return addr
-
+    cur, x_c, y_c = node, x, y   # the node below the letter, x and y there
     if ox == INFINITE and oy == INFINITE:
-        n2, t = make_conjugate(node, y, x, window=window)
+        top, t = conjugating_letter(node, y, x)
         trace = [(t, 1)]
-        prod = _trace_product(n2, lift1(n2, y), trace)
-        if n2.reduce(n2.mul_words(prod, n2.invert_word(lift1(n2, x)))):
-            raise SchemeError("conjugation trace failed to verify")
-        addr = addr_after(n2, [t], g)
-        meta = dict(g.meta)
-        meta["standard"] = False
-        out = checked_extension(UGroup(n2, addr, g.u, name=f"{g.name}+t",
-                                       meta=meta, lam=g.lam,
-                                       lamplus=g.lamplus))
-        return SimplicityMove(out, "both-infinite", trace, True,
-                              "one stable letter conjugates y to x")
-
-    if oy == INFINITE:
+        case, detail = "both-infinite", "one stable letter conjugates y to x"
+    elif oy == INFINITE:
         # x has finite order: express x as (x . y^w) . (y^w)^-1
-        w_pick = None
-        for c in sorted(g.addr, key=lambda ww: g.addr[ww]):
-            if not c:
-                continue
-            cand = node.mul_words(x, node.conjugate_word(y, c))
-            if node.order_of(cand) == INFINITE:
-                w_pick = c
-                break
-        cur_node, extras = node, []
-        if w_pick is None:
-            cur_node, w_pick, singles = fresh_factor(node, g)
-            extras = singles
-            x_l, y_l = lift1(cur_node, x), lift1(cur_node, y)
-        else:
-            x_l, y_l = x, y
-        w_l = w_pick
-        z = cur_node.conjugate_word(y_l, w_l)
-        target = cur_node.mul_words(x_l, z)
-        if cur_node.order_of(target) != INFINITE:
+        w = next((c for c in sorted(g.addr, key=g.addr.get) if c and
+                  node.order_of(node.mul_words(x, node.conjugate_word(y, c)))
+                  == INFINITE), None)
+        if w is None:
+            cur, w = fresh_factor(node, "w")
+            x_c, y_c = _lift(node, cur, x), _lift(node, cur, y)
+        target = cur.mul_words(x_c, cur.conjugate_word(y_c, w))
+        if cur.order_of(target) != INFINITE:
             raise SchemeError("could not build an infinite-order companion")
-        n2, t = make_conjugate(cur_node, y_l, target, window=window)
-
-        def l2(w):
-            return EMPTY if not w else n2.canonical(
-                SyllableWord([(FACTOR, 0, cur_node.intern(w))]))
-
-        trace = [(t, 1), (l2(w_l), -1)]
-        prod = _trace_product(n2, l2(y_l), trace)
-        if n2.reduce(n2.mul_words(prod, n2.invert_word(l2(x_l)))):
-            raise SchemeError("conjugation trace failed to verify")
-        if cur_node is node:
-            addr = addr_after(n2, [t], g)
-        else:
-            mid = UGroup(cur_node, addr_after(cur_node, extras, g), g.u,
-                         meta=g.meta, lam=g.lam, lamplus=g.lamplus)
-            addr = {l2(w): a for w, a in mid.addr.items()}
-            off = max((a.offset for a in addr.values()
-                       if a.alpha == x_alpha), default=-1) + 1
-            for c in (n2.canonical(t), n2.canonical(n2.invert_word(t))):
-                addr[c] = Address(x_alpha, off)
-                off += 1
-        meta = dict(g.meta)
-        meta["standard"] = False
-        out = checked_extension(UGroup(n2, addr, g.u, name=f"{g.name}+t",
-                                       meta=meta, lam=g.lam,
-                                       lamplus=g.lamplus))
-        return SimplicityMove(out, "finite-x", trace, True,
-                              "x splits as an infinite companion times a "
-                              "conjugate of y")
-
-    # y has finite order: make an infinite-order product of two y-conjugates
-    cur_node, w_pick, singles = fresh_factor(node, g)
-    x_l, y_l = lift1(cur_node, x), lift1(cur_node, y)
-    big_y = cur_node.mul_words(y_l, cur_node.conjugate_word(y_l, w_pick))
-    if cur_node.order_of(big_y) != INFINITE:
-        raise SchemeError("cross-factor companion is not of infinite order")
-    mid = UGroup(cur_node, addr_after(cur_node, singles, g), g.u,
-                 meta=g.meta, lam=g.lam, lamplus=g.lamplus)
-
-    def l2m(n2, w):
-        return EMPTY if not w else n2.canonical(
-            SyllableWord([(FACTOR, 0, cur_node.intern(w))]))
-
-    if ox == INFINITE:
-        n2, t = make_conjugate(cur_node, big_y, x_l, window=window)
-        wt = n2.mul_words(l2m(n2, w_pick), t)
-        trace = [(t, 1), (wt, 1)]
-        prod = _trace_product(n2, l2m(n2, y_l), trace)
-        if n2.reduce(n2.mul_words(prod, n2.invert_word(l2m(n2, x_l)))):
-            raise SchemeError("conjugation trace failed to verify")
-        addr = {l2m(n2, w): a for w, a in mid.addr.items()}
-        off = max((a.offset for a in addr.values() if a.alpha == x_alpha),
-                  default=-1) + 1
-        for c in (n2.canonical(t), n2.canonical(n2.invert_word(t))):
-            addr[c] = Address(x_alpha, off)
-            off += 1
-        case = "finite-y"
-        detail = "an infinite product of two y-conjugates absorbs x"
+        top, t = conjugating_letter(cur, y_c, target)
+        trace = [(t, 1), (_lift(cur, top, w), -1)]
+        case, detail = ("finite-x", "x splits as an infinite companion times "
+                                    "a conjugate of y")
     else:
-        # both finite: a second cross-factor position keeps the companion
-        # infinite whatever the exponents in the copies are
-        cur2, w2, singles2 = fresh_factor(cur_node, g, tag="v")
+        # y has finite order: make an infinite-order product of two
+        # y-conjugates
+        cur, w = fresh_factor(node, "w")
+        x_c, y_c = _lift(node, cur, x), _lift(node, cur, y)
+        big_y = cur.mul_words(y_c, cur.conjugate_word(y_c, w))
+        if cur.order_of(big_y) != INFINITE:
+            raise SchemeError("cross-factor companion is not of infinite "
+                              "order")
+        if ox == INFINITE:
+            top, t = conjugating_letter(cur, big_y, x_c)
+            trace = [(t, 1), (top.mul_words(_lift(cur, top, w), t), 1)]
+            case, detail = ("finite-y", "an infinite product of two "
+                                        "y-conjugates absorbs x")
+        else:
+            # both finite: a second cross-factor position keeps the
+            # companion infinite whatever the exponents in the copies are
+            below = cur
+            cur, w2 = fresh_factor(below, "v")
+            big_y, x_c, y_c, w = (_lift(below, cur, v)
+                                  for v in (big_y, x_c, y_c, w))
+            target = cur.mul_words(x_c, cur.conjugate_word(big_y, w2))
+            if cur.order_of(target) != INFINITE:
+                raise SchemeError("no companion position makes x times the "
+                                  "y-product infinite")
+            top, t = conjugating_letter(cur, big_y, target)
+            trace = [(t, 1), (top.mul_words(_lift(cur, top, w), t), 1),
+                     (_lift(cur, top, cur.mul_words(w, w2)), -1),
+                     (_lift(cur, top, w2), -1)]
+            case, detail = ("finite-both", "two stages: an infinite "
+                                           "y-product, then the finite-x split")
 
-        def lc2(w):
-            return EMPTY if not w else cur2.canonical(
-                SyllableWord([(FACTOR, 0, cur_node.intern(w))]))
-
-        y_big2 = lc2(big_y)
-        x_2, y_2, w_2 = lc2(x_l), lc2(y_l), lc2(w_pick)
-        target = cur2.mul_words(x_2, cur2.conjugate_word(y_big2, w2))
-        if cur2.order_of(target) != INFINITE:
-            raise SchemeError("no companion position makes x times the "
-                              "y-product infinite")
-        n2, t = make_conjugate(cur2, y_big2, target, window=window)
-
-        def l3(w):
-            return EMPTY if not w else n2.canonical(
-                SyllableWord([(FACTOR, 0, cur2.intern(w))]))
-
-        wt = n2.mul_words(l3(w_2), t)
-        ww2 = l3(cur2.mul_words(w_2, w2))
-        trace = [(t, 1), (wt, 1), (ww2, -1), (l3(w2), -1)]
-        prod = _trace_product(n2, l3(y_2), trace)
-        if n2.reduce(n2.mul_words(prod, n2.invert_word(l3(x_2)))):
-            raise SchemeError("conjugation trace failed to verify")
-        mid2_addr = {lc2(w): a for w, a in mid.addr.items()}
-        off = max((a.offset for a in mid2_addr.values()
-                   if a.alpha == x_alpha), default=-1) + 1
-        for sw in singles2:
-            for c in (cur2.canonical(sw),
-                      cur2.canonical(cur2.invert_word(sw))):
-                if c and c not in mid2_addr:
-                    mid2_addr[c] = Address(x_alpha, off)
-                    off += 1
-        addr = {l3(w): a for w, a in mid2_addr.items()}
-        off = max((a.offset for a in addr.values() if a.alpha == x_alpha),
-                  default=-1) + 1
-        for c in (n2.canonical(t), n2.canonical(n2.invert_word(t))):
-            addr[c] = Address(x_alpha, off)
-            off += 1
-        case = "finite-both"
-        detail = "two stages: an infinite y-product, then the finite-x split"
+    prod = _trace_product(top, _lift(cur, top, y_c), trace)
+    if top.reduce(top.mul_words(prod, top.invert_word(_lift(cur, top, x_c)))):
+        raise SchemeError("conjugation trace failed to verify")
     meta = dict(g.meta)
     meta["standard"] = False
-    out = checked_extension(UGroup(n2, addr, g.u, name=f"{g.name}+t",
-                                   meta=meta, lam=g.lam, lamplus=g.lamplus))
-    return SimplicityMove(out, case, trace, True, detail)
+    out = UGroup(top, _extend_addr(g.addr, chain, g.addr[x].alpha), g.u,
+                 name=f"{g.name}+t", meta=meta, lam=g.lam, lamplus=g.lamplus)
+    return SimplicityMove(_checked_extension("simplicity", g, out), case,
+                          trace, True, detail)

@@ -44,10 +44,6 @@ class SyllableWord(tuple):
 
     __slots__ = ()
 
-    @property
-    def syllable_length(self) -> int:
-        return len(self)
-
     def __repr__(self):
         return f"SyllableWord({format_word(self)!r})"
 
@@ -110,10 +106,6 @@ def invert(w, ops: FactorOps) -> SyllableWord:
 def conjugate(w, by, ops: FactorOps) -> SyllableWord:
     """by^-1 . w . by, merge-normalized only."""
     return concat(concat(invert(by, ops), w, ops), by, ops)
-
-
-def syllable_length(w) -> int:
-    return len(w)
 
 
 def validate(w, ops: FactorOps) -> None:

@@ -14,14 +14,11 @@ from hypothesis import given, strategies as st
 from groupforge import fingrp
 from groupforge.amalgam import (INFINITE, AmalgamNode, BaseNode, CyclicAssoc,
                                 CyclicShared, ExplicitShared, HnnNode,
-                                SchemeError,
-                                adjoin_socle_witness, britton_reduce,
+                                SchemeError, adjoin_socle_witness,
                                 centralizer_conclusion_check,
                                 conjugate_torsion_into_factor, fresh_letter,
-                                hat_base, is_weakly_cyclically_reduced,
-                                make_conjugate, parse_scheme_text,
-                                realize_iso_by_hnn, subgroup_table,
-                                weakly_cyclic_reduce)
+                                hat_base, make_conjugate, parse_scheme_text,
+                                realize_iso_by_hnn, subgroup_table)
 from groupforge.words import EMPTY, FACTOR, LETTER, SyllableWord
 
 from conftest import free_product, z6_hnn, z6_pair
@@ -154,16 +151,16 @@ def test_order_of_classifies():
 
 def test_weakly_cyclic_reduce_contract():
     w = AM66.parse("f1:1 f0:3 f1:5")
-    core, conj = weakly_cyclic_reduce(AM66, w)
-    assert is_weakly_cyclically_reduced(AM66, core)
+    core, conj = AM66.weakly_cyclic_reduce(w)
+    assert AM66.is_weakly_cyclically_reduced(core)
     assert AM66.equal(AM66.conjugate_word(core, conj), w)
     assert len(core) <= len(AM66.reduce(w))
 
 
 @given(amalgam_words(AM66))
 def test_weakly_cyclic_reduce_always_verifies(w):
-    core, conj = weakly_cyclic_reduce(AM66, w)
-    assert is_weakly_cyclically_reduced(AM66, core)
+    core, conj = AM66.weakly_cyclic_reduce(w)
+    assert AM66.is_weakly_cyclically_reduced(core)
     assert AM66.equal(AM66.conjugate_word(core, conj), w)
 
 
@@ -200,20 +197,20 @@ def hnn_words(node, max_len=10):
 def test_britton_pinches_associated_elements():
     t = HN6.letter
     w = HN6.parse(f"t{t}^-1 f0:3 t{t}")
-    assert britton_reduce(HN6, w) == HN6.parse("f0:3")
+    assert HN6.reduce(w) == HN6.parse("f0:3")
 
 
 def test_britton_keeps_unassociated_elements():
     t = HN6.letter
     w = HN6.parse(f"t{t}^-1 f0:1 t{t}")
-    r = britton_reduce(HN6, w)
+    r = HN6.reduce(w)
     assert sum(1 for s in r if s[0] == LETTER) == 2
 
 
 @given(hnn_words(HN6))
 def test_britton_idempotent_and_cancels(w):
-    r = britton_reduce(HN6, w)
-    assert britton_reduce(HN6, r) == r
+    r = HN6.reduce(w)
+    assert HN6.reduce(r) == r
     assert HN6.mul_words(w, HN6.invert_word(w)) == EMPTY
 
 
@@ -242,7 +239,7 @@ def test_cyclic_assoc_spec():
     base = BaseNode(fingrp.cyclic(5), name="c5")
     node = HnnNode(base, CyclicAssoc(1, 2, window=16))
     t = node.letter
-    assert britton_reduce(node, node.parse(f"t{t}^-1 f0:1 t{t}")) == \
+    assert node.reduce(node.parse(f"t{t}^-1 f0:1 t{t}")) == \
         node.parse("f0:2")
 
 
@@ -323,6 +320,17 @@ def test_window_edge_scan_raises_on_every_call(make, what):
     assert (0, elem) not in node._cosets
     assert node._coset_data(0, u) == fresh_twin(node)._coset_data(0, u)
     assert (0, u) in node._cosets
+
+
+def test_least_keeps_the_first_of_equal_candidates():
+    """Distinct elements have distinct keys, so a tie is one element reached
+    twice; the first arrival decides whether it counts as a window edge."""
+    node = z6_pair()
+    assert node._least(0, [(2, False, "a"), (2, True, "b"), (4, False, "c")],
+                       "edge") == (2, False, "a")
+    with pytest.raises(SchemeError, match="^edge$"):
+        node._least(0, [(4, False, "a"), (2, True, "b"), (2, False, "c")],
+                    "edge")
 
 
 def test_bound_pairs_reject_unknown_element_indices():
@@ -527,7 +535,7 @@ def test_scheme_cyclic_hnn_directive():
     s = parse_scheme_text("group g z5\nbase b g\nhnn n b cyclic 1:2 12\n")
     node = s.target
     t = node.letter
-    assert britton_reduce(node, node.parse(f"t{t}^-1 f0:1 t{t}")) == \
+    assert node.reduce(node.parse(f"t{t}^-1 f0:1 t{t}")) == \
         node.parse("f0:2")
 
 

@@ -16,8 +16,9 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from groupforge.cli import (EXIT_FALSE, EXIT_INPUT, EXIT_OK, EXIT_UNDECIDED,
-                            run)
+from groupforge import cli
+from groupforge.cli import (EXIT_FALSE, EXIT_INPUT, EXIT_INTERNAL, EXIT_OK,
+                            EXIT_UNDECIDED, run)
 
 FP57 = """\
 group g1 z5
@@ -158,6 +159,14 @@ def test_group_check_bad_table_file(capsys, files):
     code, out = forge(capsys, "group", "check", files["bad_grp"])
     assert code == EXIT_INPUT
     assert out.startswith("error:")
+
+
+def test_group_check_out_of_range_entry_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "big.grp"
+    path.write_text("group big\norder 2\ntable\n0 99999999999\n1 0\n")
+    code, out = forge(capsys, "group", "check", str(path))
+    assert code == EXIT_INPUT
+    assert out == "error: table entries out of range\n"
 
 
 def test_group_aut(capsys):
@@ -629,6 +638,19 @@ def test_node_constructor_errors_carry_the_scheme_line(capsys, tmp_path):
     assert code == EXIT_INPUT
     assert out == ("error: line 5: top shared subgroup: element index 9 "
                    "unknown at b1\n")
+
+
+def test_internal_errors_exit_four(capsys, monkeypatch):
+    """A bug in a subcommand is one stdout line and its own exit code, not a
+    traceback ending in the verdict-no code 1."""
+    def broken(args, s):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_group_check", broken)
+    assert run(["group", "check", "z6"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == "error: internal: RuntimeError: boom\n"
+    assert captured.err == ""
 
 
 # -- fuzzing the argument vector ----------------------------------------------

@@ -15,9 +15,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from groupforge import smallcancel
+from groupforge import fingrp, smallcancel
 from groupforge import words as W
-from groupforge.amalgam import SchemeError
+from groupforge.amalgam import (AmalgamNode, BaseNode, CyclicShared,
+                                ExplicitShared, SchemeError)
 from groupforge.smallcancel import (OrderUndecided, RelatorSystem,
                                     ScQuotientNode, _best_match,
                                     _verify_fuzzy, build_relator, build_tau,
@@ -25,7 +26,7 @@ from groupforge.smallcancel import (OrderUndecided, RelatorSystem,
                                     malnormality_probe, max_piece,
                                     obstruction_check, quotient_is_trivial,
                                     replay_trace, symmetrize)
-from groupforge.words import EMPTY, FACTOR, SyllableWord, syllable_length
+from groupforge.words import EMPTY, FACTOR, SyllableWord
 
 from conftest import free_product, s3xz2_pair, z6_hnn, z6_pair
 
@@ -204,13 +205,77 @@ def test_key_collisions_are_settled_by_verification(monkeypatch, name, n):
     assert (max_piece(system), [_best_match(system, w) for w in words]) == want
 
 
+def oracle_class_ids(system, syl):
+    """The four class ids by plain nested right- and double-coset loops,
+    keeping the first least candidate."""
+    node = system.node
+    side, elem = syl[1], syl[2]
+    fac, shared = node.factors[side], node._shared
+    lrep, _ = node._coset_data(side, elem)
+    rbest = dbest = None
+    for s_elem, edge1 in shared.scan(side):
+        cand = fac.mul_elem(elem, s_elem)
+        key = fac.elem_key(cand)
+        if rbest is None or key < rbest[0]:
+            rbest = (key, cand, edge1)
+        for s2, edge2 in shared.scan(side):
+            c2 = fac.mul_elem(s2, cand)
+            k2 = fac.elem_key(c2)
+            if dbest is None or k2 < dbest[0]:
+                dbest = (k2, c2, edge1 or edge2)
+    assert not (rbest[2] or dbest[2])
+    return ((FACTOR, side, elem), (FACTOR, side, lrep),
+            (FACTOR, side, rbest[1]), (FACTOR, side, dbest[1]))
+
+
+@pytest.mark.parametrize("name,x0,x1,n", [("z5*z7", "f0:1", "f1:1", 6),
+                                          ("z5*z7", "f0:3", "f1:5", 5),
+                                          ("s3xz2", "f0:4", "f1:5", 4),
+                                          ("s3xz2", "f0:2", "f1:3", 3)])
+def test_class_of_matches_the_nested_scan_oracle(name, x0, x1, n):
+    node = TAU_NODES[name]()
+    system = RelatorSystem(node, [build_tau(node, node.parse(x0),
+                                            node.parse(x1), n)])
+    syls = sorted({syl for r in system.cyclic_relators for syl in r})
+    got = [system._class_of(syl)[0] for syl in syls]
+    assert got == [oracle_class_ids(system, syl) for syl in syls]
+    if name == "s3xz2":
+        # the shared involution makes some right and double classes coarser
+        # than the exact one
+        assert any(ids[2] != ids[0] or ids[3] != ids[0] for ids in got)
+
+
+def test_class_of_raises_on_the_window_edge_every_time():
+    """Two copies of Z2*Z3 amalgamated over <g>, g = f0:1 f1:1 of infinite
+    order, with a window of 2 powers.  The syllable a = f1:1 g^2 has its
+    least right-coset element a g^-2 = f1:1 on the window edge, so
+    classifying it raises, and the failure is not memoised."""
+    def z2z3(tag):
+        return AmalgamNode(BaseNode(fingrp.cyclic(2), name=tag + "2"),
+                           BaseNode(fingrp.cyclic(3), name=tag + "3"),
+                           ExplicitShared([0], [0]), name=tag)
+
+    left, right = z2z3("l"), z2z3("r")
+    g = [n.intern(n.parse("f0:1 f1:1")) for n in (left, right)]
+    node = AmalgamNode(left, right, CyclicShared(g[0], g[1], window=2))
+    a = left.intern(left.parse("f1:1 f0:1 f1:1 f0:1 f1:1"))
+    b = right.intern(right.parse("f1:1"))
+    system = RelatorSystem(node, [SyllableWord([(FACTOR, 0, a),
+                                                (FACTOR, 1, b)])])
+    for _ in range(3):
+        with pytest.raises(SchemeError, match="reached the window edge "
+                                              "while classifying"):
+            system._class_of((FACTOR, 0, a))
+    assert (FACTOR, 0, a) not in system._classes
+
+
 # -- relator construction ---------------------------------------------------------
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_tau_length_law(n, fp57):
     tau = build_tau(fp57, fp57.parse("f0:1"), fp57.parse("f1:1"), n)
-    assert syllable_length(tau) == sum(4 * k for k in range(1, n + 1))
-    assert syllable_length(tau) == 2 * n * (n + 1)
+    assert len(tau) == sum(4 * k for k in range(1, n + 1))
+    assert len(tau) == 2 * n * (n + 1)
 
 
 def quadratic_tau(node, x0, x1, n):

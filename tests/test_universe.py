@@ -7,6 +7,7 @@ mismatch rather than a silent pass.
 """
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -328,6 +329,62 @@ def test_simplicity_finite_y():
     assert len(move.trace) == 2
     assert replay_simplicity(move, lifted(move, g, x), lifted(move, g, y))
     assert le(g, move.ugroup)
+
+
+def renumbered(text):
+    """text with its stable letters renamed t1, t2, ... in order of first
+    appearance; the process numbers letters globally."""
+    seen = {}
+    return re.sub(r"t(\d+)", lambda m: "t%d" % seen.setdefault(
+        m.group(1), len(seen) + 1), text)
+
+
+# (case, h, extra tracked words on blocks {0, 1}, x, y, final node, trace,
+# address map) for each of the step's five cases
+PINNED_MOVES = [
+    ("tracked", S3, [], "f0:1", "f0:3", "b0*b1",
+     "f0:2 ^ 1",
+     "0:0 1; 0:1 f0:1; 0:2 f0:2; 0:3 f0:3; 0:4 f0:4; 0:5 f0:5; "
+     "1:0 f1:1; 1:1 f1:2; 1:2 f1:3; 1:3 f1:4; 1:4 f1:5"),
+    ("both-infinite", Z3, ["f0:1 f1:1", "f0:2 f1:2"], "f0:1 f1:1",
+     "f0:2 f1:2", "b0*b1+conj",
+     "t1 ^ 1",
+     "0:0 1; 0:1 f0:65; 0:2 f0:66; 1:0 f0:67; 1:1 f0:68; "
+     "1:2 f0:2; 1:3 f0:1; 1:4 f0:3; 1:5 f0:34; 1:6 t1; "
+     "1:7 t1^-1"),
+    ("finite-x", Z3, ["f0:1 f1:1"], "f0:1", "f0:1 f1:1", "b0*b1+conj",
+     "t1 ^ 1 | f0:65 ^ -1",
+     "0:0 1; 0:1 f0:65; 0:2 f0:66; 0:3 t1; 0:4 t1^-1; "
+     "1:0 f0:68; 1:1 f0:69; 1:2 f0:1; 1:3 f0:3"),
+    ("finite-y", Z3, ["f0:1 f1:1"], "f0:1 f1:1", "f0:1", "b0*b1*w+conj",
+     "t1 ^ 1 | f0:65 t1 ^ 1",
+     "0:0 1; 0:1 f0:66; 0:2 f0:70; 1:0 f0:71; 1:1 f0:72; "
+     "1:2 f0:2; 1:3 f0:34; 1:4 f0:65; 1:5 f0:67; 1:6 t1; "
+     "1:7 t1^-1"),
+    ("finite-both", Z3, [], "f0:1", "f0:2", "b0*b1*w*v+conj",
+     "t1 ^ 1 | f0:65 t1 ^ 1 | f0:66 ^ -1 | f0:67 ^ -1",
+     "0:0 1; 0:1 f0:72; 0:2 f0:68; 0:3 f0:65; 0:4 f0:69; "
+     "0:5 f0:67; 0:6 f0:77; 0:7 t1; 0:8 t1^-1; 1:0 f0:80; "
+     "1:1 f0:81"),
+]
+
+
+@pytest.mark.parametrize("case,h,extras,x,y,name,trace,addrs", PINNED_MOVES,
+                         ids=[m[0] for m in PINNED_MOVES])
+def test_simplicity_moves_keep_their_pinned_output(case, h, extras, x, y,
+                                                   name, trace, addrs):
+    """Registry indices show in the output, so this pins the order in which
+    the step interns words as well as what it builds."""
+    g = tracked_ugroup(h, [0, 1], extras)
+    move = density_simplicity_step(g, g.node.parse(x), g.node.parse(y))
+    final = move.ugroup
+    fmt = final.node.format
+    got = renumbered(
+        " | ".join(f"{fmt(c)} ^ {e}" for c, e in move.trace) + " || " +
+        "; ".join(f"{final.addr[w]} {fmt(w)}"
+                  for w in sorted(final.addr, key=final.addr.get)))
+    assert (move.case, final.node.name, got) == (case, name,
+                                                 trace + " || " + addrs)
 
 
 def test_simplicity_requires_tracked_nontrivial_inputs():
