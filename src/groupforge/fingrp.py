@@ -200,9 +200,26 @@ class FiniteGroup:
 def trivial(name: str = "1") -> FiniteGroup:
     return FiniteGroup(np.zeros((1, 1), dtype=np.int32), name=name, check=False)
 
+def _check_order(order: int, what: str) -> None:
+    """Refuse a group of more than PERM_EXPANSION_BOUND elements before its
+    table (order**2 entries) or its permutations are allocated."""
+    if order > PERM_EXPANSION_BOUND:
+        raise GroupError(f"{what} exceeds expansion bound "
+                         f"{PERM_EXPANSION_BOUND}")
+
+def _factorial_past(n: int, cap: int) -> int:
+    """n!, or a partial product of it once that passes cap."""
+    out = 1
+    for k in range(2, n + 1):
+        out *= k
+        if out > cap:
+            break
+    return out
+
 def cyclic(n: int, name: Optional[str] = None) -> FiniteGroup:
     if n < 1:
         raise GroupError("cyclic group needs n >= 1")
+    _check_order(n, f"group z{n} of order {n}")
     ar = np.arange(n, dtype=np.int32)
     table = (ar[:, None] + ar[None, :]) % n
     return FiniteGroup(table, name=name or f"z{n}", check=False)
@@ -247,6 +264,7 @@ def perm_group(generators, name: str = "G", bound: int = PERM_EXPANSION_BOUND) -
 def symmetric(n: int) -> FiniteGroup:
     if n == 1:
         return trivial("s1")
+    _check_order(_factorial_past(n, PERM_EXPANSION_BOUND), "permutation group")
     gens = [tuple([1, 0] + list(range(2, n)))]
     if n > 2:
         gens.append(tuple(list(range(1, n)) + [0]))
@@ -255,6 +273,8 @@ def symmetric(n: int) -> FiniteGroup:
 def alternating(n: int) -> FiniteGroup:
     if n < 3:
         return trivial(f"a{n}")
+    _check_order(_factorial_past(n, 2 * PERM_EXPANSION_BOUND) // 2,
+                 "permutation group")
     three = [1, 2, 0] + list(range(3, n))
     gens = [tuple(three)]
     if n > 3:
@@ -268,6 +288,7 @@ def dihedral(n: int) -> FiniteGroup:
     """Symmetries of the n-gon, order 2n."""
     if n < 3:
         raise GroupError("dihedral needs n >= 3")
+    _check_order(2 * n, "permutation group")
     rot = tuple((i + 1) % n for i in range(n))
     flip = tuple((n - i) % n for i in range(n))
     return perm_group([rot, flip], name=f"d{n}")
@@ -293,11 +314,12 @@ def quaternion8() -> FiniteGroup:
     return FiniteGroup(table, name="q8", check=False)
 
 def direct_product(a: FiniteGroup, b: FiniteGroup, name: Optional[str] = None) -> FiniteGroup:
+    name = name or f"{a.name}x{b.name}"
+    _check_order(a.n * b.n, f"group {name} of order {a.n * b.n}")
     nb = b.n
     table = (a.table[:, None, :, None].astype(np.int64) * nb
              + b.table[None, :, None, :]).reshape(a.n * nb, a.n * nb)
-    return FiniteGroup(table.astype(np.int32), name=name or f"{a.name}x{b.name}",
-                       check=False)
+    return FiniteGroup(table.astype(np.int32), name=name, check=False)
 
 
 # -- homomorphisms ------------------------------------------------------------

@@ -16,15 +16,20 @@ soundly.  A strong isomorphism maps addresses by the unique order map
 between the block sets while keeping offsets; codes number strong-isomorphism
 classes in first-seen order within a run.
 
+A group's partial tables are built on first access, in one of three ways.
+A standard group (one copy of H per block, a free product) reads them off
+H's table: two tracked elements have a tracked product exactly when one is
+the identity or both lie in the same copy, and that product is H's.
 Restriction, block filtering and re-addressing along an order map keep the
-group's node and its words, so their partial tables are the source's tables
-cut down to the kept addresses (and relabelled): a derived group filters its
-source's tables instead of multiplying words again.  The closure check
-(clause (b) of check_ugroup) reads the same tables.
+group's node and its words, so their tables are the source's tables cut
+down to the kept addresses (and relabelled): a derived group filters its
+source's tables.  Any other group multiplies its tracked words.  The
+closure check (clause (b) of check_ugroup) reads the same tables.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
@@ -78,7 +83,9 @@ class UGroup:
             seen[a] = w
         self._by_addr = seen
         self._tables = None
-        self._source = None  # a UGroup on the same node whose words cover ours
+        # makes the tables on first access; standard and derived groups
+        # replace the word-by-word default
+        self._build = self._multiplied_tables
 
     @property
     def addr_set(self):
@@ -93,11 +100,8 @@ class UGroup:
         Only pairs whose product is itself tracked appear; everything else
         is outside the surrogate's view."""
         if self._tables is None:
-            if self._source is None:
-                self._tables = self._multiplied_tables()
-            else:
-                self._tables = self._filtered_tables(self._source)
-                self._source = None
+            self._tables = self._build()
+            self._build = None  # let go of a source group
         return self._tables
 
     def _multiplied_tables(self):
@@ -139,13 +143,6 @@ class UGroup:
     def ainv(self):
         return self._built_tables()[1]
 
-    def block_offsets(self, alpha: int):
-        return sorted(a.offset for a in self._by_addr if a.alpha == alpha)
-
-    def next_offset(self, alpha: int) -> int:
-        got = [a.offset for a in self._by_addr if a.alpha == alpha]
-        return max(got) + 1 if got else 0
-
 
 def le(p: UGroup, q: UGroup) -> bool:
     """Containment on the addressed structure: every tracked element, product
@@ -184,7 +181,7 @@ def _derived(g: UGroup, addr: dict, u, name: str) -> UGroup:
     filtered from g's when first asked for."""
     out = UGroup(g.node, addr, u, name=name, meta=dict(g.meta), lam=g.lam,
                  lamplus=g.lamplus)
-    out._source = g
+    out._build = functools.partial(out._filtered_tables, g)
     return out
 
 
@@ -460,19 +457,47 @@ def standard_ugroup(h: FiniteGroup, u, *, name: Optional[str] = None,
         node = AmalgamNode(node, leaf, ExplicitShared([h.identity],
                                                       [h.identity]),
                            name=f"{node.name}*{leaf.name}")
-    addr = {EMPTY: Address(0, 0)}
+    one = Address(0, 0)
+    addr = {EMPTY: one}
     nontrivial = [e for e in range(h.n) if not h.is_identity(e)]
+    rows = []  # per copy, the address of each element of h
     for pos, alpha in enumerate(us):
-        base = 1 if alpha == 0 else 0
-        for i, e in enumerate(nontrivial):
+        row = [one] * h.n
+        for i, e in enumerate(nontrivial, 1 if alpha == 0 else 0):
             if len(us) == 1:
                 w = node.elem_word(e)
             else:
                 w = _chain_single(node, pos, len(us), e)
-            addr[node.canonical(w)] = Address(alpha, base + i)
-    return UGroup(node, addr, us, name=name or f"blocks{{{','.join(map(str, us))}}}",
-                  meta={"standard": True, "h": h, "blocks": tuple(us)},
-                  lam=lam, lamplus=lamplus)
+            row[e] = addr[node.canonical(w)] = Address(alpha, i)
+        rows.append(row)
+    g = UGroup(node, addr, us, name=name or f"blocks{{{','.join(map(str, us))}}}",
+               meta={"standard": True, "h": h, "blocks": tuple(us)},
+               lam=lam, lamplus=lamplus)
+    g._build = functools.partial(_standard_tables, h, nontrivial, rows)
+    return g
+
+
+def _standard_tables(h: FiniteGroup, nontrivial: list, rows: list):
+    """The partial tables of a standard group, read off h's table; rows[c][e]
+    is the address of element e of the c-th copy.
+
+    A product of nontrivial elements from different copies has two
+    syllables, so it is untracked; within one copy it is h's product, and
+    the identity multiplies everything.  Entries go in in the order a
+    word-by-word build records them: operands in address order, each
+    element's inverse before its products."""
+    one = Address(0, 0)
+    tab, hinv = h.table.tolist(), h.inv.tolist()
+    mul = {(one, a): a for a in [one] + [r[e] for r in rows for e in nontrivial]}
+    inv = {one: one}
+    for row in rows:
+        for e1 in nontrivial:
+            a1, t1 = row[e1], tab[e1]
+            inv[a1] = row[hinv[e1]]
+            mul[(a1, one)] = a1
+            for e2 in nontrivial:
+                mul[(a1, row[e2])] = row[t1[e2]]
+    return mul, inv
 
 
 def _chain_single(node: Node, pos: int, k: int, elem: int) -> SyllableWord:
@@ -668,7 +693,11 @@ def poset_axiom_probe(family: list, *, samples: int = 20, seed: int = 0,
 
     # 8: amalgamation of compatible pairs over a boundary
     standard = [g for g in family if g.meta.get("standard")]
+    # the witness over a block set is the family's standard member there,
+    # or a fresh standard group when the family has none
     witness_cache: dict = {}
+    for g in standard:
+        witness_cache.setdefault((g.meta.get("h"), g.u), g)
     r8_cache: dict = {}
     attempts = 0
     while res[8].checked < samples and attempts < samples * 100:
@@ -687,10 +716,11 @@ def poset_axiom_probe(family: list, *, samples: int = 20, seed: int = 0,
             continue
         res[8].checked += 1
         union = p.u | q.u
-        if union not in witness_cache:
-            witness_cache[union] = standard_ugroup(
+        key = (p.meta["h"], union)
+        if key not in witness_cache:
+            witness_cache[key] = standard_ugroup(
                 p.meta["h"], union, lam=p.lam, lamplus=p.lamplus)
-        r = witness_cache[union]
+        r = witness_cache[key]
         if not (le(p, r) and le(q, r) and check_ugroup(r).ok):
             res[8].failures.append(
                 f"amalgamation witness over {sorted(union)} does not "

@@ -11,6 +11,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -167,6 +168,28 @@ def test_group_check_out_of_range_entry_is_an_input_error(capsys, tmp_path):
     code, out = forge(capsys, "group", "check", str(path))
     assert code == EXIT_INPUT
     assert out == "error: table entries out of range\n"
+
+
+@pytest.mark.parametrize("argv,msg", [
+    (("group", "aut", "z1000000"),
+     "group z1000000 of order 1000000 exceeds expansion bound 20000"),
+    (("group", "check", "z1000xz1000"),
+     "group z1000xz1000 of order 1000000 exceeds expansion bound 20000"),
+    (("group", "check", "d1000000"),
+     "permutation group exceeds expansion bound 20000"),
+], ids=["cyclic", "product", "dihedral"])
+def test_oversize_named_groups_are_input_errors(capsys, argv, msg):
+    """Refused on their order, before numpy or the permutation expansion
+    allocates anything of that size."""
+    tracemalloc.start()
+    try:
+        code = run(list(argv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().out == f"error: {msg}\n"
+    assert peak < 32 * 2**20
 
 
 def test_group_aut(capsys):
@@ -444,6 +467,94 @@ def test_sc_obstruct_config_failure(capsys, files):
 
 
 # -- universe subcommands ----------------------------------------------------
+
+README_UNIVERSE = [
+    ("assign prod.scheme --blocks 0,1", """\
+node: top
+blocks: 0,1
+tracked: 11
+addr 0:0: 1
+addr 0:1: f0:1
+addr 0:2: f0:2
+addr 0:3: f0:3
+addr 0:4: f0:4
+addr 1:0: f1:1
+addr 1:1: f1:2
+addr 1:2: f1:3
+addr 1:3: f1:4
+addr 1:4: f1:5
+addr 1:5: f1:6
+"""),
+    ("check prod.scheme --blocks 0,1", """\
+node: top
+tracked: 11
+ok: true
+"""),
+    ("code --h s3 --master 0,1,2,3", """\
+h: s3
+members: 8
+member {0}: code 0
+member {0,1}: code 1
+member {0,2}: code 1
+member {0,3}: code 1
+member {0,1,2}: code 2
+member {0,1,3}: code 2
+member {0,2,3}: code 2
+member {0,1,2,3}: code 3
+classes: 4
+code 0 dom {0}
+code 1 dom {0,1}
+code 2 dom {0,1,2}
+code 3 dom {0,1,2,3}
+"""),
+    ("probe --h s3 --master 0,1,2,3 --samples 100", """\
+h: s3
+members: 8
+clause 1: checked 27 failures 0
+clause 2: checked 125 failures 0
+clause 3: checked 19 failures 0
+clause 4: checked 20 failures 0
+clause 5: checked 6 failures 0
+clause 6: checked 61 failures 0
+clause 7: checked 8 failures 0
+clause 8: checked 100 failures 0
+ok: true
+"""),
+    ("density-dom --h z3 --blocks 0,1 --alpha 3", """\
+h: z3
+before: {0,1}
+after: {0,1,3}
+extended: true
+ok: true
+"""),
+    ("density-simple --h z3 --blocks 0,1 --x f0:1 --y f0:2", """\
+h: z3
+case: finite-both
+trace-terms: 4
+extended: true
+term 0: exponent 1 conjugator t1
+term 1: exponent 1 conjugator f0:65 t1
+term 2: exponent -1 conjugator f0:66
+term 3: exponent -1 conjugator f0:67
+verified: true
+"""),
+]
+
+
+@pytest.mark.parametrize("args,expected", README_UNIVERSE,
+                         ids=[a.split()[0] for a, _ in README_UNIVERSE])
+def test_readme_universe_examples_print_their_pinned_output(
+        forge_bin, tmp_path, args, expected):
+    """The README's `forge universe` block, each in a fresh process since
+    letter numbering is process-global.  Printed words carry registry
+    indices, so the full text pins the order of interning too."""
+    (tmp_path / "prod.scheme").write_text(FP57)
+    prefix, env = forge_bin
+    got = subprocess.run([*prefix, "universe", *args.split()],
+                         capture_output=True, env=env, cwd=tmp_path)
+    assert (got.returncode, got.stdout.decode(), got.stderr) == \
+        (EXIT_OK, expected, b"")
+
 
 
 def test_universe_assign_layout(capsys, files):

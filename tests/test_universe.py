@@ -66,9 +66,8 @@ def test_partial_tables_see_only_tracked_products():
     g = standard_ugroup(Z3, [0])
     assert g.amul[(Address(0, 1), Address(0, 1))] == Address(0, 2)
     assert g.ainv[Address(0, 1)] == Address(0, 2)
-    assert g.block_offsets(0) == [0, 1, 2]
-    assert g.next_offset(0) == 3
-    assert g.next_offset(7) == 0
+    assert sorted(a.offset for a in g.addr_set if a.alpha == 0) == [0, 1, 2]
+    assert not [a for a in g.addr_set if a.alpha == 7]
 
 
 def test_cross_block_products_stay_untracked():
@@ -250,6 +249,41 @@ def test_probe_counts_are_stable_and_clean():
     assert all(c.failures == [] for c in rep.clauses.values())
 
 
+def counted_standard_builds(monkeypatch):
+    """Counts the standard groups built from here on."""
+    calls = []
+    real = universe.standard_ugroup
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(universe, "standard_ugroup", counting)
+    return calls
+
+
+def test_clause_8_witnesses_are_family_members(monkeypatch):
+    family = standard_family(S3, [0, 1, 2, 3])
+    calls = counted_standard_builds(monkeypatch)
+    rep = poset_axiom_probe(family, samples=30, seed=2)
+    assert rep.ok and rep.clauses[8].checked == 30
+    assert calls == []
+
+
+def test_clause_8_builds_witnesses_a_truncated_family_lacks(monkeypatch):
+    """The family criterion 9 probes misses most five-block and all six- and
+    seven-block sets; its counts are those of fresh witnesses throughout."""
+    family = standard_family(S3, range(7))[:50]
+    calls = counted_standard_builds(monkeypatch)
+    rep = poset_axiom_probe(family, samples=100, seed=9)
+    assert calls and all(len(u) > 4 for u in calls)
+    assert not set(calls) & {g.u for g in family}
+    assert rep.ok
+    checked = {k: c.checked for k, c in rep.clauses.items()}
+    assert checked == {1: 361, 2: 3593, 3: 311, 4: 178, 5: 181, 6: 1307,
+                       7: 50, 8: 100}
+
+
 # -- density moves ------------------------------------------------------------------
 
 def test_domain_step_is_idempotent_on_present_blocks():
@@ -263,7 +297,7 @@ def test_domain_step_extends_and_transports():
     assert out.u == {0, 1, 3}
     assert le(g, out)
     assert check_ugroup(out).ok
-    assert out.block_offsets(3) == [0, 1]
+    assert sorted(a.offset for a in out.addr_set if a.alpha == 3) == [0, 1]
     assert not out.meta["standard"]
 
 
@@ -506,3 +540,33 @@ def test_check_ugroup_matches_the_word_oracle():
         assert (rep.ok, rep.clause, rep.detail) == oracle_check(g)
         clauses.add((rep.clause, rep.detail.split(" ")[0]))
     assert {(None, "all"), ("b", "inverse"), ("b", "product")} <= clauses
+
+
+def registry_sizes(node):
+    """len(_rwords) of every node in the tower, in a fixed walk order."""
+    out, todo = [], [node]
+    while todo:
+        n = todo.pop()
+        out.append(len(n._rwords))
+        if n.kind != "base":
+            todo.extend(n.factors)
+    return out
+
+
+@pytest.mark.parametrize("name", ["z3", "s3", "a4", "z5", "q8"])
+def test_standard_tables_read_from_h_match_word_products(name):
+    """The closed-form tables equal the word-by-word ones entry for entry
+    and in dict order, and build without interning a word anywhere in the
+    tower."""
+    h = fingrp.named_group(name)
+    extra = [1, 3, 5, 6]
+    for mask in range(2 ** len(extra)):
+        blocks = [0] + [b for i, b in enumerate(extra) if mask >> i & 1]
+        g = standard_ugroup(h, blocks)
+        before = registry_sizes(g.node)
+        mul, inv = g._built_tables()
+        assert registry_sizes(g.node) == before, blocks
+        assert (mul, inv) == oracle_tables(g), blocks
+        fresh_mul, fresh_inv = standard_ugroup(h, blocks)._multiplied_tables()
+        assert list(mul) == list(fresh_mul), blocks
+        assert list(inv) == list(fresh_inv), blocks
