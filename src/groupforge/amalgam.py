@@ -104,10 +104,8 @@ class _BoundPairs:
     powers within the window, and `edge` marks the outermost ones.
     """
 
-    def __init__(self, pairs, *, cyclic_infinite=False, window=0, edge=()):
+    def __init__(self, pairs, edge=()):
         self.pairs = pairs
-        self.cyclic_infinite = cyclic_infinite
-        self.window = window
         self._edge = set(edge)
         self._maps = ({}, {})
         for k, (l, r) in enumerate(pairs):
@@ -122,9 +120,6 @@ class _BoundPairs:
     def convert(self, side, elem):
         k = self._maps[side][elem]
         return self.pairs[k][1 - side]
-
-    def elems(self, side):
-        return [p[side] for p in self.pairs]
 
     def scan(self, side):
         """Yield (subgroup element on side, at_window_edge)."""
@@ -194,7 +189,7 @@ def _bind_pairs(spec, side0: "Node", side1: "Node", what: str) -> _BoundPairs:
             ks = sorted(p0)
             pairs = [(p0[k], p1[k]) for k in ks]
             edge = [i for i, k in enumerate(ks) if abs(k) == w]
-            return _BoundPairs(pairs, cyclic_infinite=True, window=w, edge=edge)
+            return _BoundPairs(pairs, edge)
         n = int(o0)
         p0 = _powers(side0, g0, 0, n - 1)
         p1 = _powers(side1, g1, 0, n - 1)
@@ -986,9 +981,6 @@ class SocleRecord:
     product: list          # [(copy name, element index at the final node)]
     layers: int
 
-    def factor_count(self):
-        return len(self.product)
-
 
 def _first_nontrivial(h: FiniteGroup) -> int:
     for i in range(h.n):
@@ -1095,8 +1087,10 @@ class Scheme:
     target: Node
 
 
-def parse_scheme_text(text: str, base_dir: str = ".") -> Scheme:
-    """Build named groups and tower nodes from a scheme description.
+def parse_scheme_text(text: str, base_dir: str = ".", *,
+                      budget: Optional[int] = None) -> Scheme:
+    """Build named groups and tower nodes from a scheme description.  A `hat`
+    line's automorphism search runs under `budget`.
 
     Directives, one per line (# comments allowed):
       group <name> <builtin-or-path>
@@ -1154,7 +1148,7 @@ def parse_scheme_text(text: str, base_dir: str = ".") -> Scheme:
                 if kind == "base":
                     nodes[toks[1]] = BaseNode(grp, name=toks[1])
                 else:
-                    nodes[toks[1]] = hat_base(grp, name=toks[1])
+                    nodes[toks[1]] = hat_base(grp, name=toks[1], budget=budget)
                 last = nodes[toks[1]]
             elif kind == "amalgam":
                 if len(toks) < 6:
@@ -1207,7 +1201,8 @@ def parse_scheme_text(text: str, base_dir: str = ".") -> Scheme:
     return Scheme(groups, nodes, target)
 
 
-def load_scheme(path: str) -> Scheme:
+def load_scheme(path: str, *, budget: Optional[int] = None) -> Scheme:
     import os
     with open(path) as fh:
-        return parse_scheme_text(fh.read(), base_dir=os.path.dirname(path) or ".")
+        return parse_scheme_text(fh.read(), base_dir=os.path.dirname(path) or ".",
+                                 budget=budget)

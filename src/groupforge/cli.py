@@ -21,7 +21,6 @@ from typing import Optional
 from . import amalgam, fingrp, smallcancel, universe
 from .amalgam import SchemeError
 from .fingrp import BudgetExceeded, GroupError
-from .smallcancel import OrderUndecided
 from .words import EMPTY
 
 EXIT_OK = 0
@@ -202,12 +201,12 @@ def _cmd_group_socle(args, s):
 
 # -- words ------------------------------------------------------------------------
 
-def _target(args):
-    return amalgam.load_scheme(args.scheme).target
+def _target(args, s):
+    return amalgam.load_scheme(args.scheme, budget=s.budget).target
 
 
 def _cmd_word_reduce(args, s):
-    node = _target(args)
+    node = _target(args, s)
     r = node.reduce(node.parse(args.word))
     return [f"node: {node.name}", f"input: {args.word}",
             f"reduced: {node.format(r)}", f"syllables: {len(r)}",
@@ -215,7 +214,7 @@ def _cmd_word_reduce(args, s):
 
 
 def _cmd_word_invert(args, s):
-    node = _target(args)
+    node = _target(args, s)
     r = node.reduce(node.invert_word(node.parse(args.word)))
     return [f"node: {node.name}", f"input: {args.word}",
             f"inverse: {node.format(r)}", f"syllables: {len(r)}"], EXIT_OK
@@ -223,15 +222,15 @@ def _cmd_word_invert(args, s):
 
 # -- amalgam ----------------------------------------------------------------------
 
-def _amalgam_target(args):
-    node = _target(args)
+def _amalgam_target(args, s):
+    node = _target(args, s)
     if not isinstance(node, amalgam.AmalgamNode):
         raise SchemeError(f"target node {node.name} is not an amalgam")
     return node
 
 
 def _cmd_amalgam_nf(args, s):
-    node = _amalgam_target(args)
+    node = _amalgam_target(args, s)
     w = node.canonical(node.parse(args.word))
     return [f"node: {node.name}", f"canonical: {node.format(w)}",
             f"syllables: {len(w)}",
@@ -240,7 +239,7 @@ def _cmd_amalgam_nf(args, s):
 
 
 def _cmd_amalgam_torsion(args, s):
-    node = _amalgam_target(args)
+    node = _amalgam_target(args, s)
     w = node.parse(args.word)
     core, _ = node.weakly_cyclic_reduce(w)
     if len(core) >= 2 or (len(core) == 1 and
@@ -261,7 +260,7 @@ def _cmd_amalgam_torsion(args, s):
 
 
 def _cmd_amalgam_centralizer(args, s):
-    node = _target(args)
+    node = _target(args, s)
     cands = [node.parse(c) for c in args.cand]
     r = amalgam.centralizer_conclusion_check(node, node.parse(args.word),
                                              cands)
@@ -280,8 +279,8 @@ def _cmd_amalgam_centralizer(args, s):
 
 # -- hnn --------------------------------------------------------------------------
 
-def _hnn_target(args):
-    node = _target(args)
+def _hnn_target(args, s):
+    node = _target(args, s)
     if not isinstance(node, amalgam.HnnNode):
         raise SchemeError(f"target node {node.name} is not an extension "
                           f"with a stable letter")
@@ -289,7 +288,7 @@ def _hnn_target(args):
 
 
 def _cmd_hnn_reduce(args, s):
-    node = _hnn_target(args)
+    node = _hnn_target(args, s)
     r = node.reduce(node.parse(args.word))
     letters = sum(1 for syl in r if syl[0] == "t")
     return [f"node: {node.name}", f"letter: t{node.letter}",
@@ -298,7 +297,7 @@ def _cmd_hnn_reduce(args, s):
 
 
 def _cmd_hnn_make_conjugate(args, s):
-    node = _target(args)
+    node = _target(args, s)
     ext, t = amalgam.make_conjugate(node, node.parse(args.u),
                                     node.parse(args.v),
                                     window=s.g0_window)
@@ -307,7 +306,7 @@ def _cmd_hnn_make_conjugate(args, s):
 
 
 def _cmd_hnn_realize_iso(args, s):
-    node = _target(args)
+    node = _target(args, s)
     phi = None
     if args.phi:
         phi = []
@@ -338,8 +337,7 @@ def _default_tau_node():
 
 
 def _cmd_sc_tau(args, s):
-    node = amalgam.load_scheme(args.scheme).target if args.scheme \
-        else _default_tau_node()
+    node = _target(args, s) if args.scheme else _default_tau_node()
     x0 = node.parse(args.x0)
     x1 = node.parse(args.x1)
     w = smallcancel.build_tau(node, x0, x1, args.n)
@@ -366,7 +364,7 @@ def _sc_system(args, s, node):
 
 
 def _cmd_sc_certify(args, s):
-    node = _target(args)
+    node = _target(args, s)
     system, bound = _sc_system(args, s, node)
     m = smallcancel.check_metric(system, bound)
     lines = [f"node: {node.name}",
@@ -384,7 +382,7 @@ def _cmd_sc_certify(args, s):
 
 
 def _cmd_sc_decide(args, s):
-    node = _target(args)
+    node = _target(args, s)
     system, bound = _sc_system(args, s, node)
     kw = {"bound": bound}
     if s.budget:
@@ -399,7 +397,7 @@ def _cmd_sc_decide(args, s):
 
 
 def _cmd_sc_probe(args, s):
-    node = _target(args)
+    node = _target(args, s)
     system, bound = _sc_system(args, s, node)
     smallcancel.check_metric(system, bound)
     r = smallcancel.malnormality_probe(system, samples=s.samples,
@@ -417,7 +415,7 @@ def _cmd_sc_probe(args, s):
 
 
 def _cmd_sc_obstruct(args, s):
-    node = _target(args)
+    node = _target(args, s)
     r = smallcancel.obstruction_check(
         node, node.parse(args.z) if args.z else EMPTY,
         node.parse(args.x0), node.parse(args.x1),
@@ -447,7 +445,7 @@ def _cmd_sc_obstruct(args, s):
 # -- universe ---------------------------------------------------------------------
 
 def _cmd_universe_assign(args, s):
-    node = _target(args)
+    node = _target(args, s)
     g = universe.assign_addresses(node, _blocks(args.blocks))
     lines = [f"node: {node.name}",
              f"blocks: {','.join(str(b) for b in sorted(g.u))}",
@@ -458,7 +456,7 @@ def _cmd_universe_assign(args, s):
 
 
 def _cmd_universe_check(args, s):
-    node = _target(args)
+    node = _target(args, s)
     g = universe.assign_addresses(node, _blocks(args.blocks))
     rep = universe.check_ugroup(g)
     lines = [f"node: {node.name}", f"tracked: {len(g.addr)}",
@@ -749,9 +747,6 @@ def run(argv=None) -> int:
                           samples=getattr(args, "samples", 200))
         lines, code = args.fn(args, session)
     except BudgetExceeded as exc:
-        print(f"error: {exc}")
-        return EXIT_UNDECIDED
-    except OrderUndecided as exc:
         print(f"error: {exc}")
         return EXIT_UNDECIDED
     except (SchemeError, GroupError, ValueError, OSError) as exc:

@@ -27,7 +27,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 DEFAULT_BUDGET = 10**8
-PERM_EXPANSION_BOUND = 20000
+PERM_EXPANSION_BOUND = 5040
 
 
 class GroupError(Exception):
@@ -39,16 +39,6 @@ class BudgetExceeded(GroupError):
         super().__init__(message)
         self.estimate = estimate
         self.budget = budget
-
-
-def default_budget() -> int:
-    raw = os.environ.get("FORGE_BUDGET")
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise GroupError(f"FORGE_BUDGET must be an integer, got {raw!r}") from None
 
 
 class FiniteGroup:
@@ -135,24 +125,10 @@ class FiniteGroup:
     def element_orders(self):
         return [self.order_of(a) for a in range(self.n)]
 
-    def power(self, a: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inverse(a), -k)
-        acc = self.identity
-        for _ in range(k):
-            acc = int(self.table[acc, a])
-        return acc
-
     def center(self) -> tuple:
         T = self.table
         return tuple(int(z) for z in range(self.n)
                      if np.array_equal(T[z], T[:, z]))
-
-    def centralizer(self, elems: Iterable[int]) -> tuple:
-        elems = list(elems)
-        T = self.table
-        return tuple(int(g) for g in range(self.n)
-                     if all(T[g, x] == T[x, g] for x in elems))
 
     def subgroup_closure(self, gens: Iterable[int]) -> tuple:
         seen = {self.identity}
@@ -168,15 +144,6 @@ class FiniteGroup:
                         nxt.append(y)
             frontier = nxt
         return tuple(sorted(seen))
-
-    def is_subgroup(self, elems: Iterable[int]) -> bool:
-        s = set(elems)
-        if self.identity not in s:
-            return False
-        return all(int(self.table[a, b]) in s for a in s for b in s)
-
-    def conjugate_set(self, elems: Iterable[int], g: int) -> tuple:
-        return tuple(sorted(self.conj(x, g) for x in elems))
 
     def generating_set(self) -> tuple:
         """Small generating set, greedily by descending element order."""
@@ -229,7 +196,13 @@ def _perm_compose(p, q):
     return tuple(q[p[i]] for i in range(len(p)))
 
 def perm_group(generators, name: str = "G", bound: int = PERM_EXPANSION_BOUND) -> FiniteGroup:
-    """Close a list of permutations (image tuples) and build the table."""
+    """Close a list of permutations (image tuples) and build the table.
+
+    The closure composes each element with each generator once and keeps
+    the results as right-multiplication rows, right[j][a] = a gens[j].  Each
+    new element b is parent[b] then gens[j] for an earlier parent, so column
+    b of the table is right[j] gathered at column parent[b]: x b = (x p) g.
+    """
     gens = [tuple(g) for g in generators]
     if not gens:
         raise GroupError("need at least one permutation")
@@ -240,26 +213,31 @@ def perm_group(generators, name: str = "G", bound: int = PERM_EXPANSION_BOUND) -
     ident = tuple(range(k))
     elems = [ident]
     index = {ident: 0}
+    right = [[] for _ in gens]
+    parent = [None]  # the identity has no parent
     i = 0
     while i < len(elems):
         p = elems[i]
-        i += 1
-        for g in gens:
+        for j, g in enumerate(gens):
             q = _perm_compose(p, g)
-            if q not in index:
+            at = index.get(q)
+            if at is None:
                 if len(elems) >= bound:
                     raise GroupError(
                         f"permutation group exceeds expansion bound {bound}")
-                index[q] = len(elems)
+                at = index[q] = len(elems)
                 elems.append(q)
+                parent.append((i, j))
+            right[j].append(at)
+        i += 1
     n = len(elems)
+    R = np.array(right, dtype=np.int32)
     table = np.empty((n, n), dtype=np.int32)
-    for a in range(n):
-        for b in range(n):
-            table[a, b] = index[_perm_compose(elems[a], elems[b])]
-    grp = FiniteGroup(table, name=name, check=False)
-    grp.perms = elems
-    return grp
+    table[:, 0] = np.arange(n, dtype=np.int32)  # element 0 is the identity
+    for b in range(1, n):
+        a, j = parent[b]
+        table[:, b] = R[j][table[:, a]]
+    return FiniteGroup(table, name=name, check=False)
 
 def symmetric(n: int) -> FiniteGroup:
     if n == 1:
@@ -337,9 +315,6 @@ class GroupHom:
     def __call__(self, a: int) -> int:
         return self.img[a]
 
-    def is_injective(self) -> bool:
-        return len(set(self.img)) == self.src.n
-
     def is_surjective(self) -> bool:
         return len(set(self.img)) == self.dst.n
 
@@ -403,7 +378,7 @@ def enumerate_homs(src: FiniteGroup, dst: FiniteGroup, *, injective=False,
     img[x b] == img[x] img[b] for all x and b, and it is a homomorphism.
     """
     if budget is None:
-        budget = default_budget()
+        budget = DEFAULT_BUDGET
     gens = src.generating_set()
     if not gens:
         yield GroupHom(src, dst, tuple([dst.identity] * src.n))
@@ -494,21 +469,11 @@ class AutGroup(FiniteGroup):
         gs = np.asarray(gs)
         return T[T[inv[gs]], gs[:, None]]
 
-    def apply(self, i: int, x: int) -> int:
-        return int(self.maps[i, x])
-
-    def inner_index(self, g: int) -> int:
-        return int(self._index_of(self._inner_rows([g]),
-                                  lambda _: f"conjugation by {g}")[0])
-
     def inner_embedding(self) -> GroupHom:
         src = self.source
         idx = self._index_of(self._inner_rows(np.arange(src.n)),
                              lambda g: f"conjugation by {g}")
         return GroupHom(src, self, tuple(idx.tolist()))
-
-    def inner_image(self) -> tuple:
-        return tuple(sorted(set(self.inner_embedding().img)))
 
 
 def automorphism_group(g: FiniteGroup, *, budget: Optional[int] = None) -> AutGroup:
@@ -608,27 +573,6 @@ def is_localization(eta: GroupHom, *, budget: Optional[int] = None) -> Localizat
             return LocalizationReport(False, len(homs), len(endos),
                                       f"map with images {phi.img} has {kind}")
     return LocalizationReport(True, len(homs), len(endos), None)
-
-
-def subgroup_conjugacy(g: FiniteGroup, a: Iterable[int], b: Iterable[int]) -> Optional[int]:
-    """An element c with c^-1 A c = B, or None."""
-    sa, sb = set(a), set(b)
-    if len(sa) != len(sb):
-        return None
-    if sorted(g.order_of(x) for x in sa) != sorted(g.order_of(x) for x in sb):
-        return None
-    for c in range(g.n):
-        if {g.conj(x, c) for x in sa} == sb:
-            return c
-    return None
-
-
-def is_isomorphic(a: FiniteGroup, b: FiniteGroup, *, budget: Optional[int] = None) -> bool:
-    if a.n != b.n:
-        return False
-    if sorted(a.element_orders()) != sorted(b.element_orders()):
-        return False
-    return next(enumerate_homs(a, b, injective=True, budget=budget), None) is not None
 
 
 # -- text format --------------------------------------------------------------

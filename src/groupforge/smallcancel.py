@@ -41,15 +41,11 @@ import numpy as np
 
 from . import words as W
 from .amalgam import AmalgamNode, HnnNode, Node, SchemeError
-from .words import EMPTY, FACTOR, LETTER, SyllableWord
+from .words import FACTOR, SyllableWord
 
 # (prime modulus, base) of the two span fingerprints; a modulus below 2^31
 # keeps every product of two residues inside int64
 _FINGERPRINTS = ((2_147_483_647, 1_000_003), (2_147_483_629, 998_244_353))
-
-
-class OrderUndecided(SchemeError):
-    pass
 
 
 # -- relator construction -----------------------------------------------------
@@ -226,20 +222,6 @@ def _verify_fuzzy(arr1, p, arr2, q, L):
         if arr1["eid"][p + i] != arr2["eid"][q + i]:
             return False
     return True
-
-
-def symmetrize(system: RelatorSystem) -> list:
-    """All cyclic rotations of the cyclically reduced relators and their
-    inverses, as explicit words.  Meant for small systems and cross-checks."""
-    out = []
-    seen = set()
-    for r in system.cyclic_relators:
-        for k in range(len(r)):
-            rot = SyllableWord(list(r[k:]) + list(r[:k]))
-            if rot not in seen:
-                seen.add(rot)
-                out.append(rot)
-    return out
 
 
 @dataclass
@@ -550,36 +532,6 @@ def replay_trace(system: RelatorSystem, w, verdict: DehnVerdict) -> bool:
     return True
 
 
-# -- whole-quotient checks --------------------------------------------------------
-
-@dataclass
-class TrivialityReport:
-    trivial: Optional[bool]    # None when outside the certified theory
-    reason: str
-
-
-def quotient_is_trivial(system: RelatorSystem,
-                        bound: Fraction = Fraction(1, 10)) -> TrivialityReport:
-    node = system.node
-    for r in system.cyclic_relators:
-        if len(r) == 0:
-            return TrivialityReport(None, "a relator is trivial in the tower")
-        if len(r) == 1:
-            return TrivialityReport(
-                None, "a relator lies in a single factor; the metric theory "
-                      "does not apply")
-    rep = check_metric(system, bound=bound)
-    if not rep.ok:
-        return TrivialityReport(
-            None, f"piece ratio {rep.ratio} exceeds {bound}; no conclusion")
-    sizes = [f.elem_count() for f in node.factors]
-    if any(s is None or s > 1 for s in sizes):
-        return TrivialityReport(
-            False, "metric condition holds, so the factors embed in the "
-                   "quotient and it is nontrivial")
-    return TrivialityReport(None, "all factors are trivial")
-
-
 @dataclass
 class ProbeReport:
     samples: int
@@ -706,69 +658,3 @@ def obstruction_check(node: Node, z_word, x0_word, x1_word, y0_word, y1_word,
             ok = False
     return ObstructionReport(True, "twist conditions hold", True, metric.ratio,
                              verdicts, ok)
-
-
-# -- quotient node -----------------------------------------------------------------
-
-class ScQuotientNode(Node):
-    """The tower node modulo the normal closure of a certified system.
-
-    Elements are registry indices of representative words; two distinct
-    indices can name the same quotient element, so equality goes through the
-    decision procedure rather than the registry.
-    """
-
-    kind = "scquotient"
-
-    def __init__(self, system: RelatorSystem, name: Optional[str] = None,
-                 order_bound: int = 64):
-        super().__init__(name or f"{system.node.name}/relators")
-        self.system = system
-        self.base = system.node
-        self.order_bound = order_bound
-        self._ops = self.base.ops
-        system.ensure_certified()
-
-    @property
-    def factors(self):
-        return self.base.factors
-
-    def validate_word(self, w):
-        self.base.validate_word(w)
-
-    def reduce(self, w) -> SyllableWord:
-        """Representative: rewrite with the relators as long as they shorten."""
-        cur = self.base.reduce(w)
-        while True:
-            if not cur or 2 * len(cur) < min(len(r) for r in
-                                             self.system.cyclic_relators):
-                return cur
-            best = _best_match(self.system, cur)
-            if best is None or best[0] <= Fraction(1, 2):
-                return cur
-            cur = _dehn_step(self.system, cur, best, [])
-
-    def canonical(self, w) -> SyllableWord:
-        return self.base.canonical(self.reduce(w))
-
-    def equal(self, u, v) -> bool:
-        prod = self.base.mul_words(u, self.base.invert_word(v))
-        verdict = greendlinger_decide(self.system, prod)
-        if verdict.status == "undecided":
-            raise OrderUndecided("equality fell in the undecided band")
-        return verdict.status == "member"
-
-    def is_identity_word(self, w) -> bool:
-        return self.equal(w, EMPTY)
-
-    def order_of(self, w):
-        if self.is_identity_word(w):
-            return 1
-        acc = self.reduce(w)
-        for k in range(2, self.order_bound + 1):
-            acc = self.reduce(self.base.mul_words(acc, w))
-            if not acc or self.is_identity_word(acc):
-                return k
-        raise OrderUndecided(
-            f"order exceeds the bound {self.order_bound}; the quotient "
-            f"procedure cannot certify it")

@@ -419,27 +419,6 @@ class CodeRegistry:
                 for i, rep in enumerate(self._reps)]
 
 
-def parse_session_text(text: str) -> list:
-    """Records `code <cod> dom {a,b,...}` from a session file."""
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if (len(parts) != 4 or parts[0] != "code" or parts[2] != "dom"
-                or not parts[3].startswith("{") or not parts[3].endswith("}")):
-            raise SchemeError(f"line {lineno}: bad session record {line!r}")
-        try:
-            cod = int(parts[1])
-            body = parts[3][1:-1]
-            dom = frozenset(int(x) for x in body.split(",")) if body else frozenset()
-        except ValueError:
-            raise SchemeError(f"line {lineno}: bad session record {line!r}")
-        out.append(Code(cod, dom))
-    return out
-
-
 # -- the standard block family -----------------------------------------------------
 
 def standard_ugroup(h: FiniteGroup, u, *, name: Optional[str] = None,

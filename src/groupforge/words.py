@@ -19,16 +19,6 @@ FACTOR = "f"
 LETTER = "t"
 
 
-def factor_syllable(factor: int, elem: int):
-    return (FACTOR, factor, elem)
-
-
-def letter_syllable(letter: int, sign: int):
-    if sign not in (1, -1):
-        raise ValueError(f"letter sign must be +1 or -1, got {sign}")
-    return (LETTER, letter, sign)
-
-
 class FactorOps(Protocol):
     """Multiplication hooks for the factors a word ranges over."""
 
@@ -106,22 +96,6 @@ def invert(w, ops: FactorOps) -> SyllableWord:
 def conjugate(w, by, ops: FactorOps) -> SyllableWord:
     """by^-1 . w . by, merge-normalized only."""
     return concat(concat(invert(by, ops), w, ops), by, ops)
-
-
-def validate(w, ops: FactorOps) -> None:
-    """Raise ValueError if w breaks the normalized-word invariants."""
-    for i, syl in enumerate(w):
-        kind, ident, val = syl
-        if kind == FACTOR:
-            if ops.is_identity(ident, val):
-                raise ValueError(f"identity syllable at position {i}")
-            if i and w[i - 1][0] == FACTOR and w[i - 1][1] == ident:
-                raise ValueError(f"adjacent same-factor syllables at position {i}")
-        elif kind == LETTER:
-            if i and w[i - 1][0] == LETTER and w[i - 1][1] == ident and w[i - 1][2] == -val:
-                raise ValueError(f"adjacent inverse letters at position {i}")
-        else:
-            raise ValueError(f"unknown syllable kind {kind!r}")
 
 
 # -- text form ---------------------------------------------------------------

@@ -5,6 +5,12 @@ from groupforge.amalgam import (AmalgamNode, BaseNode, CyclicShared,
                                 ExplicitAssoc, ExplicitShared, HnnNode)
 
 
+def is_isomorphic(a: fingrp.FiniteGroup, b: fingrp.FiniteGroup) -> bool:
+    """Equal orders and an injective homomorphism a -> b."""
+    return a.n == b.n and next(
+        fingrp.enumerate_homs(a, b, injective=True), None) is not None
+
+
 def free_product(n1: int, n2: int) -> AmalgamNode:
     """Z/n1 * Z/n2 with nothing identified beyond the identities."""
     left = BaseNode(fingrp.cyclic(n1), name="a")

@@ -172,12 +172,14 @@ def test_group_check_out_of_range_entry_is_an_input_error(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv,msg", [
     (("group", "aut", "z1000000"),
-     "group z1000000 of order 1000000 exceeds expansion bound 20000"),
+     "group z1000000 of order 1000000 exceeds expansion bound 5040"),
     (("group", "check", "z1000xz1000"),
-     "group z1000xz1000 of order 1000000 exceeds expansion bound 20000"),
+     "group z1000xz1000 of order 1000000 exceeds expansion bound 5040"),
     (("group", "check", "d1000000"),
-     "permutation group exceeds expansion bound 20000"),
-], ids=["cyclic", "product", "dihedral"])
+     "permutation group exceeds expansion bound 5040"),
+    (("group", "check", "d10000"),
+     "permutation group exceeds expansion bound 5040"),
+], ids=["cyclic", "product", "dihedral", "d10000"])
 def test_oversize_named_groups_are_input_errors(capsys, argv, msg):
     """Refused on their order, before numpy or the permutation expansion
     allocates anything of that size."""
@@ -674,6 +676,17 @@ def test_budget_flag_both_positions(capsys):
         assert "error: homomorphism search needs" in out
 
 
+def test_budget_flag_reaches_a_scheme_hat_line(capsys, tmp_path):
+    path = tmp_path / "hat.scheme"
+    path.write_text("group g a5\nhat h g\n")
+    for argv in (["word", "reduce", str(path), "f0:1"],
+                 ["sc", "tau", str(path), "--n", "1"]):
+        code, out = forge(capsys, "--budget", "2", *argv)
+        assert code == EXIT_UNDECIDED
+        assert out == ("error: line 2: homomorphism search needs ~2073600 "
+                       "operations, budget 2\n")
+
+
 def test_budget_from_environment(capsys, monkeypatch):
     monkeypatch.setenv("FORGE_BUDGET", "2")
     code, out = forge(capsys, "group", "aut", "s4")
@@ -700,6 +713,13 @@ def test_nonpositive_window_is_an_input_error(capsys, files):
                       "f0:1 f1:1", "f0:2 f1:2", "--g0-window=-2")
     assert code == EXIT_INPUT
     assert "g0-window must be at least 1, got -2" in out
+
+
+def test_empty_budget_in_environment_means_the_default(capsys, monkeypatch):
+    monkeypatch.setenv("FORGE_BUDGET", "")
+    code, out = forge(capsys, "group", "aut", "s3")
+    assert code == EXIT_OK
+    assert field(out, "aut-order") == "6"
 
 
 @pytest.mark.parametrize("env", ["x", "-3"])

@@ -19,19 +19,31 @@ from groupforge import fingrp, smallcancel
 from groupforge import words as W
 from groupforge.amalgam import (AmalgamNode, BaseNode, CyclicShared,
                                 ExplicitShared, SchemeError)
-from groupforge.smallcancel import (OrderUndecided, RelatorSystem,
-                                    ScQuotientNode, _best_match,
+from groupforge.smallcancel import (RelatorSystem, _best_match,
                                     _verify_fuzzy, build_relator, build_tau,
                                     check_metric, greendlinger_decide,
                                     malnormality_probe, max_piece,
-                                    obstruction_check, quotient_is_trivial,
-                                    replay_trace, symmetrize)
+                                    obstruction_check, replay_trace)
 from groupforge.words import EMPTY, FACTOR, SyllableWord
 
 from conftest import free_product, s3xz2_pair, z6_hnn, z6_pair
 
 
 # -- independent piece oracle ---------------------------------------------------
+
+def symmetrize(system):
+    """All cyclic rotations of the cyclically reduced relators and their
+    inverses, as explicit words, each once."""
+    out = []
+    seen = set()
+    for r in system.cyclic_relators:
+        for k in range(len(r)):
+            rot = SyllableWord(list(r[k:]) + list(r[:k]))
+            if rot not in seen:
+                seen.add(rot)
+                out.append(rot)
+    return out
+
 
 def brute_max_piece(words):
     """Longest common prefix over all pairs of distinct symmetrized words,
@@ -455,54 +467,6 @@ def test_decide_member_of_product_of_conjugates():
     v = greendlinger_decide(system, w)
     assert v.status == "member"
     assert replay_trace(system, w, v)
-
-
-def test_order_undecided_is_a_scheme_error():
-    assert issubclass(OrderUndecided, SchemeError)
-
-
-# -- quotient conclusions ----------------------------------------------------------
-
-def test_quotient_nontrivial_when_certified():
-    node, tau, system = tau_system(3, 5, 19)
-    rep = quotient_is_trivial(system)
-    assert rep.trivial is False
-    assert "nontrivial" in rep.reason
-
-
-def test_quotient_inconclusive_when_uncertified():
-    node, tau, system = tau_system(3, 5, 18)
-    rep = quotient_is_trivial(system)
-    assert rep.trivial is None
-    assert "no conclusion" in rep.reason
-
-
-def test_quotient_inconclusive_for_factor_relator(fp57):
-    rep = quotient_is_trivial(RelatorSystem(fp57, [fp57.parse("f0:1")]))
-    assert rep.trivial is None
-
-
-def test_quotient_node_collapses_tau_and_keeps_factors():
-    node, tau, system = tau_system(3, 5, 19)
-    q = ScQuotientNode(system)
-    assert q.equal(tau, EMPTY)
-    assert not q.is_identity_word(node.parse("f0:1"))
-    assert q.order_of(node.parse("f0:1")) == 3
-    assert q.order_of(node.parse("f1:1")) == 5
-    assert q.order_of(tau) == 1
-
-
-def test_quotient_node_order_bound_is_honest():
-    node, tau, system = tau_system(3, 5, 19)
-    q = ScQuotientNode(system, order_bound=6)
-    with pytest.raises(OrderUndecided, match="bound"):
-        q.order_of(node.parse("f0:1 f1:1"))
-
-
-def test_quotient_node_requires_certification():
-    node, tau, system = tau_system(3, 5, 18)
-    with pytest.raises(SchemeError, match="not certified"):
-        ScQuotientNode(system)
 
 
 # -- probes and the obstruction ---------------------------------------------------

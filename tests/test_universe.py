@@ -18,7 +18,7 @@ from groupforge.universe import (Address, Code, CodeRegistry, UGroup,
                                  assign_addresses, block_filter, check_ugroup,
                                  density_domain_step, density_simplicity_step,
                                  is_strong_iso, le, order_iso_image,
-                                 parse_session_text, poset_axiom_probe,
+                                 poset_axiom_probe,
                                  replay_simplicity, restrict, same_ugroup,
                                  standard_family, standard_ugroup)
 from groupforge.words import EMPTY
@@ -209,18 +209,8 @@ def test_code_registry_freezes_class_order():
     codes = [reg.code(g) for g in family]
     assert [c.cod for c in codes] == [0, 1, 1, 2]
     assert len(reg) == 3
-    assert parse_session_text("\n".join(reg.record_lines())) == \
-        [Code(0, frozenset({0})), Code(1, frozenset({0, 1})),
-         Code(2, frozenset({0, 1, 2}))]
-
-
-def test_session_text_rejects_malformed_records():
-    for text in ("code x dom {0}", "kode 1 dom {0}", "code 1 dom 0",
-                 "code 1 dom {0} extra"):
-        with pytest.raises(SchemeError, match="line 1"):
-            parse_session_text(text)
-    assert parse_session_text("# comment\n\ncode 4 dom {}\n") == \
-        [Code(4, frozenset())]
+    assert reg.record_lines() == \
+        ["code 0 dom {0}", "code 1 dom {0,1}", "code 2 dom {0,1,2}"]
 
 
 def test_order_iso_image_constraints():

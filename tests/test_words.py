@@ -4,10 +4,9 @@ so nothing here depends on the group or scheme layers."""
 import pytest
 from hypothesis import given, strategies as st
 
-from groupforge import words
 from groupforge.words import (EMPTY, FACTOR, LETTER, SyllableWord, concat,
-                              conjugate, factor_syllable, format_word, invert,
-                              letter_syllable, normalize, parse_word, validate)
+                              conjugate, format_word, invert, normalize,
+                              parse_word)
 
 
 class ModOps:
@@ -27,6 +26,22 @@ class ModOps:
 
 
 OPS = ModOps(5, 7)
+
+
+def validate(w, ops) -> None:
+    """Raise ValueError if w breaks the normalized-word invariants."""
+    for i, syl in enumerate(w):
+        kind, ident, val = syl
+        if kind == FACTOR:
+            if ops.is_identity(ident, val):
+                raise ValueError(f"identity syllable at position {i}")
+            if i and w[i - 1][0] == FACTOR and w[i - 1][1] == ident:
+                raise ValueError(f"adjacent same-factor syllables at position {i}")
+        elif kind == LETTER:
+            if i and w[i - 1][0] == LETTER and w[i - 1][1] == ident and w[i - 1][2] == -val:
+                raise ValueError(f"adjacent inverse letters at position {i}")
+        else:
+            raise ValueError(f"unknown syllable kind {kind!r}")
 
 factor_syls = st.tuples(st.just(FACTOR), st.integers(0, 1),
                         st.integers(0, 6)).filter(
@@ -106,13 +121,6 @@ def test_parse_letter_exponents():
 def test_parse_rejects_malformed_tokens(text):
     with pytest.raises(ValueError):
         parse_word(text)
-
-
-def test_syllable_constructors():
-    assert factor_syllable(2, 5) == (FACTOR, 2, 5)
-    assert letter_syllable(1, -1) == (LETTER, 1, -1)
-    with pytest.raises(ValueError):
-        letter_syllable(0, 2)
 
 
 def test_validate_rejects_identity_syllable():
