@@ -40,6 +40,9 @@ from .fingrp import FiniteGroup
 from .words import EMPTY, FACTOR, LETTER, SyllableWord
 
 INFINITE = math.inf
+# highest power of x and of a candidate compared when the centralizer check
+# looks for a shared power of an infinite-order x
+POWER_BOUND = 8
 
 
 class SchemeError(Exception):
@@ -409,7 +412,6 @@ class AmalgamNode(Node):
         super().__init__(name or f"({left.name}*{right.name})")
         self.left = left
         self.right = right
-        self.shared_spec = shared
         self._ops = _FactorOps((left, right))
         self._shared = _bind_pairs(shared, left, right, f"{self.name} shared subgroup")
         self._bound = self._shared
@@ -542,12 +544,10 @@ class HnnNode(Node):
     kind = "hnn"
     _edge_what = "associated-subgroup window"
 
-    def __init__(self, base: Node, assoc, name: Optional[str] = None,
-                 letter: Optional[int] = None):
+    def __init__(self, base: Node, assoc, name: Optional[str] = None):
         super().__init__(name or f"{base.name}*t")
         self.base = base
-        self.letter = fresh_letter() if letter is None else letter
-        self.assoc_spec = assoc
+        self.letter = fresh_letter()
         self._ops = _FactorOps((base,))
         self._assoc = _bind_pairs(assoc, base, base,
                                   f"{self.name} associated subgroups")
@@ -566,8 +566,8 @@ class HnnNode(Node):
     def lift(self, elem: int) -> int:
         return self.intern(SyllableWord([(FACTOR, 0, elem)]))
 
-    def letter_word(self, sign: int = 1) -> SyllableWord:
-        return SyllableWord([(LETTER, self.letter, sign)])
+    def letter_word(self) -> SyllableWord:
+        return SyllableWord([(LETTER, self.letter, 1)])
 
     def validate_word(self, w):
         for syl in w:
@@ -728,8 +728,8 @@ class CentralizerCheck:
     entries: list
 
 
-def centralizer_conclusion_check(node: Node, x_word, cand_words,
-                                 *, power_bound: int = 8) -> CentralizerCheck:
+def centralizer_conclusion_check(node: Node, x_word,
+                                 cand_words) -> CentralizerCheck:
     """Check the centralizer dichotomy against candidate elements.
 
     Torsion elements conjugate into a factor, and their commuting candidates
@@ -783,11 +783,11 @@ def centralizer_conclusion_check(node: Node, x_word, cand_words,
         found = None
         xp = {}
         acc = EMPTY
-        for m in range(1, power_bound + 1):
+        for m in range(1, POWER_BOUND + 1):
             acc = node.mul_words(acc, x)
             xp[m] = node.canonical(acc)
         acc = EMPTY
-        for k in range(1, power_bound + 1):
+        for k in range(1, POWER_BOUND + 1):
             acc = node.mul_words(acc, c)
             ck = node.canonical(acc)
             for m, xm in xp.items():
@@ -800,7 +800,7 @@ def centralizer_conclusion_check(node: Node, x_word, cand_words,
             ok = False
             entries.append(CentralizerEntry(
                 node.format(c), True, False,
-                f"no shared power up to exponent {power_bound}"))
+                f"no shared power up to exponent {POWER_BOUND}"))
         else:
             entries.append(CentralizerEntry(
                 node.format(c), True, True,
@@ -855,8 +855,8 @@ class IsoRealization:
 
 
 def realize_iso_by_hnn(node: Node, a_elems, b_elems, a_hat, b_hat,
-                       *, phi_pairs=None, budget: Optional[int] = None,
-                       name: Optional[str] = None) -> IsoRealization:
+                       *, phi_pairs=None,
+                       budget: Optional[int] = None) -> IsoRealization:
     """Make an isomorphism A -> B inner.
 
     A and B must be copies of the tower's distinguished suitable group, and
@@ -932,10 +932,10 @@ def realize_iso_by_hnn(node: Node, a_elems, b_elems, a_hat, b_hat,
 
     n1 = HnnNode(node, ExplicitAssoc(list(hat_elems),
                                      [f1map[e] for e in hat_elems]),
-                 name=(name or node.name) + "+iso1")
+                 name=node.name + "+iso1")
     n2 = HnnNode(n1, ExplicitAssoc([n1.lift(e) for e in hat_elems],
                                    [n1.lift(f2map[e]) for e in hat_elems]),
-                 name=(name or node.name) + "+iso2")
+                 name=node.name + "+iso2")
 
     u = n1.intern(SyllableWord([(LETTER, n1.letter, -1), (FACTOR, 0, g)]))
     conj = SyllableWord([(FACTOR, 0, u), (LETTER, n2.letter, 1)])
@@ -951,8 +951,7 @@ def realize_iso_by_hnn(node: Node, a_elems, b_elems, a_hat, b_hat,
     return IsoRealization(n2, n1, conj, (n1.letter, n2.letter), g)
 
 
-def make_conjugate(node: Node, u_word, v_word, *, window: int = 16,
-                   name: Optional[str] = None):
+def make_conjugate(node: Node, u_word, v_word, *, window: int = 16):
     """Extend the tower by a stable letter with t^-1 u t = v.  Legal exactly
     when u and v have the same order.  Returns (extension, t-word)."""
     ou = node.order_of(u_word)
@@ -964,8 +963,7 @@ def make_conjugate(node: Node, u_word, v_word, *, window: int = 16,
     v = node.intern(v_word)
     if node.is_identity_elem(u):
         return node, EMPTY
-    ext = HnnNode(node, CyclicAssoc(u, v, window),
-                  name=name or f"{node.name}+conj")
+    ext = HnnNode(node, CyclicAssoc(u, v, window), name=f"{node.name}+conj")
     t = ext.letter_word()
     got = ext.reduce(W.conjugate(SyllableWord([(FACTOR, 0, u)]), t, ext.ops))
     if ext.canonical(got) != ext.canonical(SyllableWord([(FACTOR, 0, v)])):
@@ -1080,17 +1078,11 @@ def adjoin_socle_witness(node: Node, w, *, window: int = 16):
 
 # -- scheme files ----------------------------------------------------------------
 
-@dataclass
-class Scheme:
-    groups: dict
-    nodes: dict
-    target: Node
-
-
 def parse_scheme_text(text: str, base_dir: str = ".", *,
-                      budget: Optional[int] = None) -> Scheme:
-    """Build named groups and tower nodes from a scheme description.  A `hat`
-    line's automorphism search runs under `budget`.
+                      budget: Optional[int] = None) -> Node:
+    """Build named groups and tower nodes from a scheme description and
+    return the target node.  A `hat` line's automorphism search runs under
+    `budget`.
 
     Directives, one per line (# comments allowed):
       group <name> <builtin-or-path>
@@ -1198,10 +1190,10 @@ def parse_scheme_text(text: str, base_dir: str = ".", *,
         target = last
     if target is None:
         raise SchemeError("scheme defines no tower node")
-    return Scheme(groups, nodes, target)
+    return target
 
 
-def load_scheme(path: str, *, budget: Optional[int] = None) -> Scheme:
+def load_scheme(path: str, *, budget: Optional[int] = None) -> Node:
     import os
     with open(path) as fh:
         return parse_scheme_text(fh.read(), base_dir=os.path.dirname(path) or ".",

@@ -40,7 +40,12 @@ class Session:
     def __post_init__(self):
         if self.budget is None:
             env = os.environ.get("FORGE_BUDGET")
-            self.budget = int(env) if env else None
+            if env:
+                try:
+                    self.budget = int(env)
+                except ValueError:
+                    raise SchemeError(f"FORGE_BUDGET must be an integer, "
+                                      f"got {env!r}") from None
         for what, v, least in (("budget", self.budget, 0),
                                ("samples", self.samples, 0),
                                ("g0-window", self.g0_window, 1)):
@@ -202,7 +207,7 @@ def _cmd_group_socle(args, s):
 # -- words ------------------------------------------------------------------------
 
 def _target(args, s):
-    return amalgam.load_scheme(args.scheme, budget=s.budget).target
+    return amalgam.load_scheme(args.scheme, budget=s.budget)
 
 
 def _cmd_word_reduce(args, s):
@@ -385,7 +390,7 @@ def _cmd_sc_decide(args, s):
     node = _target(args, s)
     system, bound = _sc_system(args, s, node)
     kw = {"bound": bound}
-    if s.budget:
+    if s.budget is not None:
         kw["max_steps"] = s.budget
     v = smallcancel.greendlinger_decide(system, node.parse(args.word), **kw)
     lines = [f"node: {node.name}", f"verdict: {v.status}",
@@ -525,8 +530,7 @@ def _cmd_universe_density_simple(args, s):
             tracked.append(node.invert_word(w))
         placement = {f"b{alpha}": alpha for alpha in sorted(g.u)}
         g = universe.assign_addresses(node, sorted(g.u), placement,
-                                      tracked=tracked,
-                                      meta={"h": h, "standard": False})
+                                      tracked=tracked, h=h)
     move = universe.density_simplicity_step(g, g.node.parse(args.x),
                                             g.node.parse(args.y),
                                             window=s.g0_window)

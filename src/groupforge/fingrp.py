@@ -35,10 +35,7 @@ class GroupError(Exception):
 
 
 class BudgetExceeded(GroupError):
-    def __init__(self, message, estimate=None, budget=None):
-        super().__init__(message)
-        self.estimate = estimate
-        self.budget = budget
+    pass
 
 
 class FiniteGroup:
@@ -183,19 +180,19 @@ def _factorial_past(n: int, cap: int) -> int:
             break
     return out
 
-def cyclic(n: int, name: Optional[str] = None) -> FiniteGroup:
+def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise GroupError("cyclic group needs n >= 1")
     _check_order(n, f"group z{n} of order {n}")
     ar = np.arange(n, dtype=np.int32)
     table = (ar[:, None] + ar[None, :]) % n
-    return FiniteGroup(table, name=name or f"z{n}", check=False)
+    return FiniteGroup(table, name=f"z{n}", check=False)
 
 def _perm_compose(p, q):
     # p then q
     return tuple(q[p[i]] for i in range(len(p)))
 
-def perm_group(generators, name: str = "G", bound: int = PERM_EXPANSION_BOUND) -> FiniteGroup:
+def perm_group(generators, name: str = "G") -> FiniteGroup:
     """Close a list of permutations (image tuples) and build the table.
 
     The closure composes each element with each generator once and keeps
@@ -222,9 +219,9 @@ def perm_group(generators, name: str = "G", bound: int = PERM_EXPANSION_BOUND) -
             q = _perm_compose(p, g)
             at = index.get(q)
             if at is None:
-                if len(elems) >= bound:
-                    raise GroupError(
-                        f"permutation group exceeds expansion bound {bound}")
+                if len(elems) >= PERM_EXPANSION_BOUND:
+                    raise GroupError(f"permutation group exceeds expansion "
+                                     f"bound {PERM_EXPANSION_BOUND}")
                 at = index[q] = len(elems)
                 elems.append(q)
                 parent.append((i, j))
@@ -291,8 +288,8 @@ def quaternion8() -> FiniteGroup:
             table[a, b] = enc(sa * sb * s, u)
     return FiniteGroup(table, name="q8", check=False)
 
-def direct_product(a: FiniteGroup, b: FiniteGroup, name: Optional[str] = None) -> FiniteGroup:
-    name = name or f"{a.name}x{b.name}"
+def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
+    name = f"{a.name}x{b.name}"
     _check_order(a.n * b.n, f"group {name} of order {a.n * b.n}")
     nb = b.n
     table = (a.table[:, None, :, None].astype(np.int64) * nb
@@ -400,8 +397,7 @@ def enumerate_homs(src: FiniteGroup, dst: FiniteGroup, *, injective=False,
     estimate = total * src.n * src.n
     if estimate > budget:
         raise BudgetExceeded(
-            f"homomorphism search needs ~{estimate} operations, budget {budget}",
-            estimate=estimate, budget=budget)
+            f"homomorphism search needs ~{estimate} operations, budget {budget}")
     steps = _bfs_expressions(src, gens)
     sT = src.table.tolist()
     dT = dst.table.tolist()

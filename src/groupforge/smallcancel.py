@@ -47,6 +47,9 @@ from .words import FACTOR, SyllableWord
 # keeps every product of two residues inside int64
 _FINGERPRINTS = ((2_147_483_647, 1_000_003), (2_147_483_629, 998_244_353))
 
+# longest conjugator, in syllables, that the malnormality probe draws
+MAX_CONJUGATOR_LEN = 5
+
 
 # -- relator construction -----------------------------------------------------
 
@@ -93,7 +96,7 @@ def _cyclic_core(node: Node, w) -> SyllableWord:
 class RelatorSystem:
     """Relators over a tower node, with the matching tables built lazily."""
 
-    def __init__(self, node: Node, relators: Iterable, meta: Optional[dict] = None):
+    def __init__(self, node: Node, relators: Iterable):
         self.node = node
         self.relators = [node.reduce(r) for r in relators]
         if not self.relators:
@@ -107,7 +110,6 @@ class RelatorSystem:
             if inv and inv not in cyc:
                 cyc.append(inv)
         self.cyclic_relators = cyc
-        self.meta = dict(meta or {})
         self._classes: dict = {}
         self._codes: dict = {}
         self._rel_arrays = None
@@ -558,7 +560,7 @@ def _random_word(node: Node, rng: random.Random, length: int) -> SyllableWord:
 
 
 def malnormality_probe(system: RelatorSystem, *, samples: int = 200,
-                       seed: int = 0, max_conj_len: int = 5) -> ProbeReport:
+                       seed: int = 0) -> ProbeReport:
     """Look for unexpected quotient-level conjugacies c^-1 g c = g' with g, g'
     nontrivial factor elements outside the shared subgroup and c a word of at
     least two syllables.  A member verdict is a counterexample."""
@@ -583,7 +585,7 @@ def malnormality_probe(system: RelatorSystem, *, samples: int = 200,
     for _ in range(samples):
         side, g = rng.choice(pool)
         side2, g2 = rng.choice(pool)
-        length = rng.randrange(2, max_conj_len + 1)
+        length = rng.randrange(2, MAX_CONJUGATOR_LEN + 1)
         c = _random_word(node, rng, length)
         if len(c) < 2:
             tower_conj += 1
@@ -641,7 +643,7 @@ def obstruction_check(node: Node, z_word, x0_word, x1_word, y0_word, y1_word,
     if not config_ok:
         return ObstructionReport(False, "; ".join(details), False, None, [], False)
     r = build_relator(node, z_word, x0c, x1c, n)
-    system = RelatorSystem(node, [r], meta={"n": n, "kind": "obstruction"})
+    system = RelatorSystem(node, [r])
     metric = check_metric(system, bound=bound)
     if not metric.ok:
         return ObstructionReport(True, "twist conditions hold", False,

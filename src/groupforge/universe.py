@@ -25,6 +25,10 @@ group's node and its words, so their tables are the source's tables cut
 down to the kept addresses (and relabelled): a derived group filters its
 source's tables.  Any other group multiplies its tracked words.  The
 closure check (clause (b) of check_ugroup) reads the same tables.
+
+The block geometry is fixed: LAMPLUS blocks of LAM offsets each, for every
+group.  The construction needs one geometry at this finite scale, not a
+configurable one.
 """
 
 from __future__ import annotations
@@ -65,18 +69,17 @@ class UGroup:
     """A tower group with tracked elements addressed into blocks."""
 
     def __init__(self, node: Node, addr: dict, u: Iterable[int],
-                 name: Optional[str] = None, meta: Optional[dict] = None,
-                 lam: int = LAM, lamplus: int = LAMPLUS):
+                 name: Optional[str] = None, *,
+                 h: Optional[FiniteGroup] = None, standard: bool = False):
         self.node = node
         self.addr = dict(addr)
         self.u = frozenset(u)
         self.name = name or node.name
-        self.meta = dict(meta or {})
-        self.lam = lam
-        self.lamplus = lamplus
+        self.h = h                # the base table fresh factors copy
+        self.standard = standard  # one copy of h per block, a free product
         seen = {}
         for w, a in self.addr.items():
-            if not (0 <= a.alpha < lamplus and 0 <= a.offset < lam):
+            if not (0 <= a.alpha < LAMPLUS and 0 <= a.offset < LAM):
                 raise SchemeError(f"address {a} outside the configured blocks")
             if a in seen:
                 raise SchemeError(f"address {a} assigned twice")
@@ -179,8 +182,7 @@ def block_filter(g: UGroup, blocks) -> UGroup:
 def _derived(g: UGroup, addr: dict, u, name: str) -> UGroup:
     """A group on g's node tracking a subset of g's words; its tables are
     filtered from g's when first asked for."""
-    out = UGroup(g.node, addr, u, name=name, meta=dict(g.meta), lam=g.lam,
-                 lamplus=g.lamplus)
+    out = UGroup(g.node, addr, u, name=name, h=g.h, standard=g.standard)
     out._build = functools.partial(out._filtered_tables, g)
     return out
 
@@ -195,13 +197,9 @@ def _leaf_blocks(node: Node, placement: Optional[dict], u_sorted) -> dict:
     def walk(n):
         if isinstance(n, BaseNode):
             leaves.append(n)
-        elif isinstance(n, AmalgamNode):
-            walk(n.left)
-            walk(n.right)
-        elif isinstance(n, HnnNode):
-            walk(n.base)
         else:
-            raise SchemeError(f"cannot address a node of kind {n.kind}")
+            for f in n.factors:
+                walk(f)
 
     walk(node)
     if placement is not None:
@@ -287,25 +285,24 @@ def _tracked_words(node: Node) -> list:
         idxs = range(count) if count is not None else range(len(node.base._rwords))
         for e in idxs:
             add(SyllableWord([(FACTOR, 0, e)]))
-        add(node.letter_word(1))
+        add(node.letter_word())
     for w in list(node._rwords):
         add(w)
     return list(out)
 
 
 def assign_addresses(node: Node, u, placement: Optional[dict] = None, *,
-                     tracked: Optional[list] = None, lam: int = LAM,
-                     lamplus: int = LAMPLUS, name: Optional[str] = None,
-                     meta: Optional[dict] = None) -> UGroup:
+                     tracked: Optional[list] = None,
+                     h: Optional[FiniteGroup] = None) -> UGroup:
     """Address the tracked elements of a tower group into the blocks of u."""
     u = sorted(set(u))
     if not u:
         raise SchemeError("the block set must contain 0")
     if u[0] != 0:
         raise SchemeError("the block set must contain 0")
-    if u[-1] >= lamplus:
+    if u[-1] >= LAMPLUS:
         raise SchemeError(f"block {u[-1]} is beyond the configured "
-                          f"{lamplus} blocks")
+                          f"{LAMPLUS} blocks")
     homes = _leaf_blocks(node, placement, u)
     for b in homes.values():
         if b not in u:
@@ -326,15 +323,14 @@ def assign_addresses(node: Node, u, placement: Optional[dict] = None, *,
                              key=lambda ww: (len(ww), tuple(ww)))
         if not block_words:
             raise SchemeError(f"no tracked element realizes block {b}")
-        if len(block_words) > lam:
+        if len(block_words) > LAM:
             raise SchemeError(f"block {b} overflows: {len(block_words)} "
-                              f"elements for {lam} offsets")
+                              f"elements for {LAM} offsets")
         for i, ww in enumerate(block_words):
             addr[ww] = Address(b, i)
     if EMPTY not in addr or addr[EMPTY] != Address(0, 0):
         raise SchemeError("the identity did not land at the origin")
-    return UGroup(node, addr, u, name=name, meta=meta, lam=lam,
-                  lamplus=lamplus)
+    return UGroup(node, addr, u, h=h)
 
 
 # -- u-group checking --------------------------------------------------------------
@@ -421,8 +417,7 @@ class CodeRegistry:
 
 # -- the standard block family -----------------------------------------------------
 
-def standard_ugroup(h: FiniteGroup, u, *, name: Optional[str] = None,
-                    lam: int = LAM, lamplus: int = LAMPLUS) -> UGroup:
+def standard_ugroup(h: FiniteGroup, u) -> UGroup:
     """Free product of one copy of h per block, tracking the identity and the
     per-copy elements.  Block 0 holds the identity at offset 0 and the
     nontrivial elements of its copy at offsets 1.., other blocks hold their
@@ -449,9 +444,8 @@ def standard_ugroup(h: FiniteGroup, u, *, name: Optional[str] = None,
                 w = _chain_single(node, pos, len(us), e)
             row[e] = addr[node.canonical(w)] = Address(alpha, i)
         rows.append(row)
-    g = UGroup(node, addr, us, name=name or f"blocks{{{','.join(map(str, us))}}}",
-               meta={"standard": True, "h": h, "blocks": tuple(us)},
-               lam=lam, lamplus=lamplus)
+    g = UGroup(node, addr, us, name=f"blocks{{{','.join(map(str, us))}}}",
+               h=h, standard=True)
     g._build = functools.partial(_standard_tables, h, nontrivial, rows)
     return g
 
@@ -490,8 +484,7 @@ def _chain_single(node: Node, pos: int, k: int, elem: int) -> SyllableWord:
     return SyllableWord([(FACTOR, 0, node.factors[0].intern(inner))])
 
 
-def standard_family(h: FiniteGroup, master_u, *, lam: int = LAM,
-                    lamplus: int = LAMPLUS) -> list:
+def standard_family(h: FiniteGroup, master_u) -> list:
     """All standard groups over subsets of master_u containing 0, smallest
     domains first.  Restriction-closed by construction."""
     extra = sorted(set(master_u) - {0})
@@ -499,7 +492,7 @@ def standard_family(h: FiniteGroup, master_u, *, lam: int = LAM,
     for b in extra:
         subsets = subsets + [s + [b] for s in subsets]
     subsets.sort(key=lambda s: (len(s), s))
-    return [standard_ugroup(h, s, lam=lam, lamplus=lamplus) for s in subsets]
+    return [standard_ugroup(h, s) for s in subsets]
 
 
 def order_iso_image(g: UGroup, blockmap: dict) -> UGroup:
@@ -513,7 +506,7 @@ def order_iso_image(g: UGroup, blockmap: dict) -> UGroup:
         raise SchemeError("the block map must be strictly increasing")
     if blockmap.get(0) != 0:
         raise SchemeError("the block map must fix block 0")
-    if targets[-1] >= g.lamplus:
+    if targets[-1] >= LAMPLUS:
         raise SchemeError("the block map leaves the configured blocks")
     addr = {w: Address(blockmap[a.alpha], a.offset) for w, a in g.addr.items()}
     return _derived(g, addr, set(targets), f"{g.name}~")
@@ -530,7 +523,6 @@ class ClauseResult:
 @dataclass
 class PosetProbeReport:
     clauses: dict
-    codes: list
     ok: bool
 
 
@@ -538,13 +530,13 @@ def _boundaries(g: UGroup):
     return sorted({b + 1 for b in g.u} | {1})
 
 
-def poset_axiom_probe(family: list, *, samples: int = 20, seed: int = 0,
-                      registry: Optional[CodeRegistry] = None) -> PosetProbeReport:
+def poset_axiom_probe(family: list, *, samples: int = 20,
+                      seed: int = 0) -> PosetProbeReport:
     """Clauses 1-6 run exhaustively over the family (boundaries included),
     clause 7 re-addresses every member once along a drawn block map, clause 8
     checks `samples` compatible pairs over a boundary."""
     rng = random.Random(seed)
-    registry = registry if registry is not None else CodeRegistry()
+    registry = CodeRegistry()
     codes = [registry.code(g) for g in family]
     n = len(family)
     leq = [[le(family[i], family[j]) for j in range(n)] for i in range(n)]
@@ -642,11 +634,10 @@ def poset_axiom_probe(family: list, *, samples: int = 20, seed: int = 0,
                             f"{family[i].name} <= {family[j].name}")
 
     # 7: order-isomorphic re-addressing stays in the class, monotonically
-    lamplus = family[0].lamplus if family else LAMPLUS
     for i in range(n):
         p = family[i]
         us = sorted(p.u)
-        pool = sorted(rng.sample(range(1, lamplus), len(us) - 1)) \
+        pool = sorted(rng.sample(range(1, LAMPLUS), len(us) - 1)) \
             if len(us) > 1 else []
         blockmap = dict(zip(us, [0] + pool))
         res[7].checked += 1
@@ -671,12 +662,12 @@ def poset_axiom_probe(family: list, *, samples: int = 20, seed: int = 0,
                 f"re-addressing {p.name} by {blockmap} left the class")
 
     # 8: amalgamation of compatible pairs over a boundary
-    standard = [g for g in family if g.meta.get("standard")]
+    standard = [g for g in family if g.standard]
     # the witness over a block set is the family's standard member there,
     # or a fresh standard group when the family has none
     witness_cache: dict = {}
     for g in standard:
-        witness_cache.setdefault((g.meta.get("h"), g.u), g)
+        witness_cache.setdefault((g.h, g.u), g)
     r8_cache: dict = {}
     attempts = 0
     while res[8].checked < samples and attempts < samples * 100:
@@ -695,10 +686,9 @@ def poset_axiom_probe(family: list, *, samples: int = 20, seed: int = 0,
             continue
         res[8].checked += 1
         union = p.u | q.u
-        key = (p.meta["h"], union)
+        key = (p.h, union)
         if key not in witness_cache:
-            witness_cache[key] = standard_ugroup(
-                p.meta["h"], union, lam=p.lam, lamplus=p.lamplus)
+            witness_cache[key] = standard_ugroup(p.h, union)
         r = witness_cache[key]
         if not (le(p, r) and le(q, r) and check_ugroup(r).ok):
             res[8].failures.append(
@@ -706,7 +696,7 @@ def poset_axiom_probe(family: list, *, samples: int = 20, seed: int = 0,
                 f"bound {p.name} and {q.name}")
 
     ok = all(not c.failures for c in res.values())
-    return PosetProbeReport(res, codes, ok)
+    return PosetProbeReport(res, ok)
 
 
 # -- density moves ------------------------------------------------------------------
@@ -742,21 +732,19 @@ def _checked_extension(what: str, g: UGroup, out: UGroup) -> UGroup:
     return out
 
 
-def density_domain_step(q: UGroup, alpha: int, v, *,
-                        h: Optional[FiniteGroup] = None) -> UGroup:
+def density_domain_step(q: UGroup, alpha: int, v) -> UGroup:
     """Extend q so that block alpha is realized, by a fresh base copy homed
     there.  Returns q unchanged when alpha is already in its domain."""
     if alpha in q.u:
         return q
     if v is not None and alpha not in v:
         raise SchemeError(f"target block {alpha} is outside the allowed set")
-    if not 0 < alpha < q.lamplus:
+    if not 0 < alpha < LAMPLUS:
         raise SchemeError(f"target block {alpha} is outside the configured "
                           f"blocks")
-    table = h if h is not None else q.meta.get("h")
+    table = q.h
     if table is None:
-        raise SchemeError("the step needs a base table: none recorded on the "
-                          "group and none supplied")
+        raise SchemeError("the step needs a base table recorded on the group")
     fresh = BaseNode(table, name=f"b{alpha}")
     node2 = AmalgamNode(q.node, fresh,
                         ExplicitShared([table.identity], [table.identity]),
@@ -769,12 +757,8 @@ def density_domain_step(q: UGroup, alpha: int, v, *,
         addr[node2.canonical(SyllableWord([(FACTOR, 1, e)]))] = \
             Address(alpha, off)
         off += 1
-    meta = dict(q.meta)
-    meta["standard"] = False
-    meta.setdefault("h", table)
     return _checked_extension("domain", q, UGroup(
-        node2, addr, q.u | {alpha}, name=f"{q.name}+b{alpha}", meta=meta,
-        lam=q.lam, lamplus=q.lamplus))
+        node2, addr, q.u | {alpha}, name=f"{q.name}+b{alpha}", h=table))
 
 
 @dataclass
@@ -838,7 +822,7 @@ def density_simplicity_step(g: UGroup, x_word, y_word, *,
     def fresh_factor(cur: Node, tag: str):
         """Amalgamate a fresh copy of h onto cur as the next link; returns
         the new node and the copy's first nontrivial element."""
-        table = g.meta.get("h")
+        table = g.h
         if table is None:
             raise SchemeError("the step needs a base table recorded on the "
                               "group to attach a fresh factor")
@@ -912,9 +896,7 @@ def density_simplicity_step(g: UGroup, x_word, y_word, *,
     prod = _trace_product(top, _lift(cur, top, y_c), trace)
     if top.reduce(top.mul_words(prod, top.invert_word(_lift(cur, top, x_c)))):
         raise SchemeError("conjugation trace failed to verify")
-    meta = dict(g.meta)
-    meta["standard"] = False
     out = UGroup(top, _extend_addr(g.addr, chain, g.addr[x].alpha), g.u,
-                 name=f"{g.name}+t", meta=meta, lam=g.lam, lamplus=g.lamplus)
+                 name=f"{g.name}+t", h=g.h)
     return SimplicityMove(_checked_extension("simplicity", g, out), case,
                           trace, True, detail)

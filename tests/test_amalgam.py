@@ -6,6 +6,7 @@ from the defining rules, so the node's incremental pushing is never the only
 route to an answer.
 """
 
+import copy
 import random
 
 import pytest
@@ -263,9 +264,9 @@ def windowed_amalgam(window):
 
 def fresh_twin(node):
     """The same node over the same factors, with an empty coset memo."""
-    if isinstance(node, HnnNode):
-        return HnnNode(node.base, node.assoc_spec, letter=node.letter)
-    return AmalgamNode(node.left, node.right, node.shared_spec)
+    twin = copy.copy(node)
+    twin._cosets = {}
+    return twin
 
 
 def element_pool(fac):
@@ -523,25 +524,25 @@ target top
 
 
 def test_scheme_text_builds_tower():
-    s = parse_scheme_text(GOLDEN_SCHEME)
-    assert set(s.groups) == {"g1", "g2"}
-    assert set(s.nodes) == {"b1", "b2", "mid", "top"}
-    assert isinstance(s.target, HnnNode)
-    assert isinstance(s.target.base, AmalgamNode)
-    assert s.target.base.order_of(s.target.base.parse("f0:3 f1:3")) == INFINITE
+    top = parse_scheme_text(GOLDEN_SCHEME)
+    assert isinstance(top, HnnNode) and top.name == "top"
+    mid = top.base
+    assert isinstance(mid, AmalgamNode) and mid.name == "mid"
+    assert [f.name for f in mid.factors] == ["b1", "b2"]
+    assert [f.group.name for f in mid.factors] == ["z6", "z6"]
+    assert mid.order_of(mid.parse("f0:3 f1:3")) == INFINITE
 
 
 def test_scheme_cyclic_hnn_directive():
-    s = parse_scheme_text("group g z5\nbase b g\nhnn n b cyclic 1:2 12\n")
-    node = s.target
+    node = parse_scheme_text("group g z5\nbase b g\nhnn n b cyclic 1:2 12\n")
     t = node.letter
     assert node.reduce(node.parse(f"t{t}^-1 f0:1 t{t}")) == \
         node.parse("f0:2")
 
 
 def test_scheme_defaults_to_last_node():
-    s = parse_scheme_text("group g z4\nbase b g\n")
-    assert s.target is s.nodes["b"]
+    node = parse_scheme_text("group g z4\nbase b g\n")
+    assert isinstance(node, BaseNode) and node.name == "b"
 
 
 @pytest.mark.parametrize("text,match", [
@@ -559,6 +560,6 @@ def test_scheme_errors_carry_line_numbers(text, match):
 def test_scheme_group_file_reference(tmp_path):
     (tmp_path / "k4.grp").write_text(
         "group k4\norder 4\ntable\n0 1 2 3\n1 0 3 2\n2 3 0 1\n3 2 1 0\n")
-    s = parse_scheme_text("group g k4.grp\nbase b g\n",
-                          base_dir=str(tmp_path))
-    assert s.groups["g"].n == 4
+    node = parse_scheme_text("group g k4.grp\nbase b g\n",
+                             base_dir=str(tmp_path))
+    assert node.group.name == "k4" and node.group.n == 4

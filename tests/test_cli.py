@@ -731,6 +731,30 @@ def test_bad_budget_from_environment_is_an_input_error(capsys, monkeypatch,
     assert out.startswith("error: ")
 
 
+def test_non_integer_budget_in_environment_names_the_variable(capsys,
+                                                              monkeypatch):
+    monkeypatch.setenv("FORGE_BUDGET", "x")
+    code, out = forge(capsys, "group", "aut", "s3")
+    assert code == EXIT_INPUT
+    assert out == "error: FORGE_BUDGET must be an integer, got 'x'\n"
+
+
+def test_budget_caps_the_dehn_steps_of_sc_decide(capsys, files):
+    code, out = forge(capsys, "sc", "tau", files["fp"], "--n", "20",
+                      "--print-word")
+    tau = field(out, "word")
+    code, out = forge(capsys, "--budget", "1", "sc", "decide", files["fp"],
+                      tau, "--n", "20")
+    assert code == EXIT_OK
+    assert (field(out, "verdict"), field(out, "steps")) == ("member", "1")
+    # a budget of 0 is a budget, not "no budget"
+    code, out = forge(capsys, "--budget", "0", "sc", "decide", files["fp"],
+                      tau, "--n", "20")
+    assert code == EXIT_UNDECIDED
+    assert (field(out, "verdict"), field(out, "steps")) == ("undecided", "0")
+    assert field(out, "witness") == "step limit reached"
+
+
 def test_negative_samples_is_an_input_error(capsys):
     code, out = forge(capsys, "universe", "probe", "--h", "z3", "--master",
                       "0,1", "--samples", "-5")

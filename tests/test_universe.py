@@ -41,7 +41,7 @@ def tracked_ugroup(h, blocks, extra_texts):
         tracked.append(node.invert_word(w))
     placement = {f"b{alpha}": alpha for alpha in sorted(g.u)}
     return assign_addresses(node, sorted(g.u), placement, tracked=tracked,
-                            meta={"h": h, "standard": False})
+                            h=h)
 
 
 # -- addresses and raw groups -----------------------------------------------------
@@ -138,7 +138,7 @@ def test_check_flags_escaping_product():
 
 def test_check_flags_unrealized_block():
     g = standard_ugroup(Z3, [0])
-    widened = UGroup(g.node, g.addr, [0, 1], meta=g.meta)
+    widened = UGroup(g.node, g.addr, [0, 1], h=g.h, standard=g.standard)
     rep = check_ugroup(widened)
     assert not rep.ok and rep.clause == "c"
 
@@ -233,7 +233,8 @@ def test_probe_counts_are_stable_and_clean():
     family = standard_family(Z3, [0, 1, 2])
     rep = poset_axiom_probe(family, samples=10, seed=4)
     assert rep.ok
-    assert [c.cod for c in rep.codes] == [0, 1, 1, 2]
+    registry = CodeRegistry()
+    assert [registry.code(g).cod for g in family] == [0, 1, 1, 2]
     checked = {k: c.checked for k, c in rep.clauses.items()}
     assert checked == {1: 9, 2: 25, 3: 5, 4: 8, 5: 1, 6: 13, 7: 4, 8: 10}
     assert all(c.failures == [] for c in rep.clauses.values())
@@ -288,7 +289,7 @@ def test_domain_step_extends_and_transports():
     assert le(g, out)
     assert check_ugroup(out).ok
     assert sorted(a.offset for a in out.addr_set if a.alpha == 3) == [0, 1]
-    assert not out.meta["standard"]
+    assert not out.standard and out.h is Z3
 
 
 def test_domain_step_respects_the_allowed_set():
