@@ -37,7 +37,7 @@ import numpy as np
 from . import fingrp
 from . import words as W
 from .fingrp import FiniteGroup
-from .words import EMPTY, FACTOR, LETTER, SyllableWord
+from .words import EMPTY, FACTOR, LETTER, Reduced, SyllableWord
 
 INFINITE = math.inf
 # highest power of x and of a candidate compared when the centralizer check
@@ -53,6 +53,10 @@ _letter_counter = itertools.count(1)
 
 def fresh_letter() -> int:
     return next(_letter_counter)
+
+
+# node serial numbers, never reused: a reduced word's tag (words.Reduced)
+_serials = itertools.count(1)
 
 
 class _FactorOps:
@@ -209,9 +213,9 @@ class Node:
 
     def __init__(self, name: str):
         self.name = name
+        self.serial = next(_serials)
         self.h_group: Optional[FiniteGroup] = None
         self.distinguished: dict = {}
-        self.socle_records: list = []
         self._rwords: list = [EMPTY]
         self._rindex: dict = {EMPTY: 0}
         self._cosets: dict = {}
@@ -271,6 +275,30 @@ class Node:
     def reduce(self, w) -> SyllableWord:
         raise NotImplementedError
 
+    def _holds(self, w) -> bool:
+        """w carries this node's reduced tag."""
+        return type(w) is Reduced and w.at == self.serial
+
+    def splice(self, left, mid, right) -> Reduced:
+        """The reduced form of left . mid . right, for left and right reduced
+        at this node or contiguous parts of words reduced here.
+
+        Compound nodes only.  left is copied and mid pushed onto it.  right
+        is pushed only until one of its syllables of a kind in `_settling`
+        is appended unchanged; the rest of right then appends unchanged, so
+        it is copied.
+        """
+        out = list(left)
+        push = self._push
+        for syl in mid:
+            push(out, syl)
+        settling = self._settling
+        for i, syl in enumerate(right):
+            if push(out, syl) and syl[0] in settling:
+                out.extend(right[i + 1:])
+                break
+        return W.reduced(out, self.serial)
+
     def canonical(self, w) -> SyllableWord:
         raise NotImplementedError
 
@@ -281,6 +309,8 @@ class Node:
         return self.canonical(u) == self.canonical(v)
 
     def mul_words(self, u, v) -> SyllableWord:
+        if self._holds(u) and self._holds(v):
+            return self.splice(u, EMPTY, v)
         return self.reduce(W.concat(u, v, self.ops))
 
     def invert_word(self, w) -> SyllableWord:
@@ -447,19 +477,26 @@ class AmalgamNode(Node):
 
     def reduce(self, w) -> SyllableWord:
         """Minimal-length form: factors alternate and, beyond length one, no
-        syllable lies in the shared subgroup."""
+        syllable lies in the shared subgroup.  A word this node reduced is
+        returned as it is."""
+        if self._holds(w):
+            return w
         self.validate_word(w)
-        out: list = []
-        for syl in w:
-            self._push(out, syl)
-        return SyllableWord(out)
+        return self.splice(EMPTY, w, EMPTY)
 
-    def _push(self, out, syl):
+    # once a syllable of a reduced word appends unchanged, the next one is on
+    # the other side and outside the shared subgroup, so it appends too
+    _settling = (FACTOR,)
+
+    def _push(self, out, syl) -> bool:
+        """Push one syllable onto the reduced list `out`; True when it is
+        appended as it came, with nothing merged or popped."""
+        came = syl
         while True:
             side, elem = syl[1], syl[2]
             fac = self.factors[side]
             if fac.is_identity_elem(elem):
-                return
+                return False
             if out and out[-1][1] == side:
                 prev = out.pop()
                 syl = (FACTOR, side, fac.mul_elem(prev[2], elem))
@@ -476,8 +513,8 @@ class AmalgamNode(Node):
                 conv = self._shared.convert(side, elem)
                 syl = (FACTOR, oside, self.factors[oside].mul_elem(prev[2], conv))
                 continue
-            out.append((FACTOR, side, elem))
-            return
+            out.append(syl)
+            return syl is came
 
     def canonical(self, w) -> SyllableWord:
         r = self.reduce(w)
@@ -530,11 +567,14 @@ class AmalgamNode(Node):
         cur = self.reduce(w)
         conj = EMPTY
         while self._ends_merge(cur):
-            first = SyllableWord([cur[0]])
-            inv_first = self.invert_word(first)
-            cur = self.reduce(W.concat(W.concat(inv_first, cur, self.ops), first,
-                                       self.ops))
-            conj = W.concat(inv_first, conj, self.ops)
+            # first^-1 . cur . first: cur[0] cancels, and cur[-1] cur[0] is
+            # one syllable pushed onto the untouched middle
+            side = cur[0][1]
+            merged = (FACTOR, side,
+                      self.factors[side].mul_elem(cur[-1][2], cur[0][2]))
+            conj = W.concat(self.invert_word(SyllableWord(cur[:1])), conj,
+                            self.ops)
+            cur = self.splice(cur[1:-1], (merged,), EMPTY)
         return cur, conj
 
 
@@ -584,28 +624,36 @@ class HnnNode(Node):
     # side 1 is B (rewritten after t)
 
     def reduce(self, w) -> SyllableWord:
+        """Britton-reduced form: no pinch t^-1 a t (a in A) or t b t^-1 (b in
+        B).  A word this node reduced is returned as it is."""
+        if self._holds(w):
+            return w
         self.validate_word(w)
-        out: list = []
-        for syl in w:
-            self._bpush(out, syl)
-        return SyllableWord(out)
+        return self.splice(EMPTY, w, EMPTY)
 
-    def _bpush(self, out, syl):
+    # a base syllable appended unchanged can still pinch with the letter
+    # after it; a stable letter appended unchanged ends every pinch
+    _settling = (LETTER,)
+
+    def _push(self, out, syl) -> bool:
+        """Push one syllable onto the reduced list `out`; True when it is
+        appended as it came, with nothing merged or popped."""
         base = self.base
+        came = syl
         while True:
             if syl[0] == FACTOR:
                 if base.is_identity_elem(syl[2]):
-                    return
+                    return False
                 if out and out[-1][0] == FACTOR:
                     prev = out.pop()
                     syl = (FACTOR, 0, base.mul_elem(prev[2], syl[2]))
                     continue
                 out.append(syl)
-                return
+                return syl is came
             sign = syl[2]
             if out and out[-1][0] == LETTER and out[-1][2] == -sign:
                 out.pop()
-                return
+                return False
             if (len(out) >= 2 and out[-1][0] == FACTOR
                     and out[-2][0] == LETTER and out[-2][2] == -sign):
                 side = 0 if sign == 1 else 1  # t^-1 a t needs a in A
@@ -615,7 +663,7 @@ class HnnNode(Node):
                     syl = (FACTOR, 0, self._assoc.convert(side, elem))
                     continue
             out.append(syl)
-            return
+            return syl is came
 
     def canonical(self, w) -> SyllableWord:
         r = self.reduce(w)
@@ -1007,9 +1055,7 @@ def _adjoin_infinite_witness(node: Node, w, window: int, tag: str):
     if ext.mul_elem(p1, p2) != welem:
         raise SchemeError("internal check failed: socle factors do not "
                           "multiply to the witness")
-    rec = SocleRecord(ext, welem, [(c1.name, p1), (c2.name, p2)], 1)
-    ext.socle_records.append(rec)
-    return ext, rec
+    return ext, SocleRecord(ext, welem, [(c1.name, p1), (c2.name, p2)], 1)
 
 
 def adjoin_socle_witness(node: Node, w, *, window: int = 16):
@@ -1071,9 +1117,7 @@ def adjoin_socle_witness(node: Node, w, *, window: int = 16):
     if acc != welem:
         raise SchemeError("internal check failed: socle product does not "
                           "recover the witness")
-    rec = SocleRecord(g4, welem, final_product, 3)
-    g4.socle_records.append(rec)
-    return g4, rec
+    return g4, SocleRecord(g4, welem, final_product, 3)
 
 
 # -- scheme files ----------------------------------------------------------------

@@ -123,9 +123,15 @@ class FiniteGroup:
         return [self.order_of(a) for a in range(self.n)]
 
     def center(self) -> tuple:
+        """The elements whose row equals their column.  Commuting with the
+        first four elements narrows the candidates cheaply; one comparison
+        of rows and columns settles the rest."""
         T = self.table
-        return tuple(int(z) for z in range(self.n)
-                     if np.array_equal(T[z], T[:, z]))
+        cand = np.arange(self.n)
+        for x in range(min(self.n, 4)):
+            cand = cand[T[cand, x] == T[x, cand]]
+        central = (T[cand] == T[:, cand].T).all(axis=1)
+        return tuple(cand[central].tolist())
 
     def subgroup_closure(self, gens: Iterable[int]) -> tuple:
         seen = {self.identity}
@@ -189,16 +195,22 @@ def cyclic(n: int) -> FiniteGroup:
     return FiniteGroup(table, name=f"z{n}", check=False)
 
 def _perm_compose(p, q):
-    # p then q
-    return tuple(q[p[i]] for i in range(len(p)))
+    """p then q, for image arrays: one gather."""
+    return q[p]
 
 def perm_group(generators, name: str = "G") -> FiniteGroup:
     """Close a list of permutations (image tuples) and build the table.
 
     The closure composes each element with each generator once and keeps
-    the results as right-multiplication rows, right[j][a] = a gens[j].  Each
-    new element b is parent[b] then gens[j] for an earlier parent, so column
-    b of the table is right[j] gathered at column parent[b]: x b = (x p) g.
+    the results as right-multiplication rows, right[j][a] = a gens[j].  It
+    holds each element by its inverse, an image array of the narrowest
+    unsigned type looked up by its bytes: (a g)^-1 is g^-1 then a^-1, one
+    gather of a^-1 at g^-1's fixed index array.
+
+    Each new element b is a gens[j] for its parent a, an earlier element.
+    So the left-multiplication rows follow from right, left[i][b] =
+    gens[i] b = (gens[i] a) gens[j], and row b of the table is row a
+    gathered at left[j]: b y = a (gens[j] y).
     """
     gens = [tuple(g) for g in generators]
     if not gens:
@@ -207,33 +219,41 @@ def perm_group(generators, name: str = "G") -> FiniteGroup:
     for g in gens:
         if len(g) != k or sorted(g) != list(range(k)):
             raise GroupError(f"not a permutation of 0..{k-1}: {g}")
-    ident = tuple(range(k))
+    inverses = [np.argsort(g) for g in gens]
+    ident = np.arange(k, dtype=np.min_scalar_type(max(k - 1, 0)))
     elems = [ident]
-    index = {ident: 0}
+    index = {ident.tobytes(): 0}
     right = [[] for _ in gens]
     parent = [None]  # the identity has no parent
     i = 0
     while i < len(elems):
         p = elems[i]
-        for j, g in enumerate(gens):
-            q = _perm_compose(p, g)
-            at = index.get(q)
+        for j, g in enumerate(inverses):
+            q = _perm_compose(g, p)
+            key = q.tobytes()
+            at = index.get(key)
             if at is None:
                 if len(elems) >= PERM_EXPANSION_BOUND:
                     raise GroupError(f"permutation group exceeds expansion "
                                      f"bound {PERM_EXPANSION_BOUND}")
-                at = index[q] = len(elems)
+                at = index[key] = len(elems)
                 elems.append(q)
                 parent.append((i, j))
             right[j].append(at)
         i += 1
     n = len(elems)
-    R = np.array(right, dtype=np.int32)
+    left = []
+    for j in range(len(gens)):
+        row = [right[j][0]]  # gens[j] itself
+        for b in range(1, n):
+            a, jb = parent[b]
+            row.append(right[jb][row[a]])
+        left.append(np.array(row, dtype=np.intp))
     table = np.empty((n, n), dtype=np.int32)
-    table[:, 0] = np.arange(n, dtype=np.int32)  # element 0 is the identity
+    table[0] = np.arange(n, dtype=np.int32)  # element 0 is the identity
     for b in range(1, n):
         a, j = parent[b]
-        table[:, b] = R[j][table[:, a]]
+        table[b] = table[a][left[j]]
     return FiniteGroup(table, name=name, check=False)
 
 def symmetric(n: int) -> FiniteGroup:

@@ -113,6 +113,7 @@ class RelatorSystem:
         self._classes: dict = {}
         self._codes: dict = {}
         self._rel_arrays = None
+        self._sorted_keys: dict = {}
         self._metric_report = None
 
     # syllable classes: exact id, left-coset id, right-coset id, double-coset id
@@ -171,6 +172,18 @@ class RelatorSystem:
             self._rel_arrays = [self._arrays_for(r) for r in self.cyclic_relators]
         return self._rel_arrays
 
+    def _relator_keys(self, ri, L):
+        """The keys of cyclic relator ri's spans of length L, sorted, and the
+        span offsets in that order (equal keys by increasing offset).
+        Relators never change, so each (ri, L) is keyed once."""
+        got = self._sorted_keys.get((ri, L))
+        if got is None:
+            arr = self._relator_arrays()[ri]
+            keys = _keys(arr, L, arr["n"])
+            order = np.argsort(keys, kind="stable")
+            got = self._sorted_keys[(ri, L)] = (keys[order], order)
+        return got
+
     def ensure_certified(self, bound: Fraction = Fraction(1, 10)):
         rep = check_metric(self, bound=bound)
         if not rep.ok:
@@ -220,10 +233,7 @@ def _verify_fuzzy(arr1, p, arr2, q, L):
         return False
     if arr1["rid"][p + L - 1] != arr2["rid"][q + L - 1]:
         return False
-    for i in range(1, L - 1):
-        if arr1["eid"][p + i] != arr2["eid"][q + i]:
-            return False
-    return True
+    return arr1["eid"][p + 1:p + L - 1] == arr2["eid"][q + 1:q + L - 1]
 
 
 @dataclass
@@ -340,12 +350,16 @@ def _best_match(system: RelatorSystem, w):
             whose spans of length L verify."""
             if L > rlen:
                 return None
-            rkeys = _keys(rarr, L, rlen)
+            rkeys, order = system._relator_keys(ri, L)
             wkeys = wkeys_at.get(L)
             if wkeys is None:
                 wkeys = wkeys_at[L] = _keys(warr, L, wlen)
-            for p in np.flatnonzero(np.isin(wkeys, rkeys)).tolist():
-                for q in np.flatnonzero(rkeys == wkeys[p]).tolist():
+            at = np.searchsorted(rkeys, wkeys)
+            hit = np.flatnonzero(rkeys[np.minimum(at, rlen - 1)] == wkeys)
+            ends = np.searchsorted(rkeys, wkeys[hit], "right")
+            for p, lo, hi in zip(hit.tolist(), at[hit].tolist(),
+                                 ends.tolist()):
+                for q in order[lo:hi].tolist():
                     if _verify_fuzzy(warr, p, rarr, q, L):
                         return (p, q)
             return None
@@ -408,24 +422,32 @@ def _end_carries(system: RelatorSystem, wsyls, p, rel, q, L):
     return a, b
 
 
-def _apply_replacement(system: RelatorSystem, wsyls, p, L, ri, q, a, b):
-    """Replace the matched span by the inverse of the relator complement."""
-    node = system.node
+def _replacement(system: RelatorSystem, L, ri, q, a, b) -> list:
+    """What replaces a match: the carry a, the inverse of the relator
+    complement, the carry b."""
     rel = system.cyclic_relators[ri]
     rlen = len(rel)
     tail = [rel[(q + L + i) % rlen] for i in range(rlen - L)]
-    t_inv = list(W.invert(SyllableWord(tail), node.ops))
-    mid = ([a] if a else []) + t_inv + ([b] if b else [])
-    new = list(wsyls[:p]) + mid + list(wsyls[p + L:])
-    return node.reduce(SyllableWord(new))
+    t_inv = list(W.invert(SyllableWord(tail), system.node.ops))
+    return ([a] if a else []) + t_inv + ([b] if b else [])
+
+
+def _apply_replacement(system: RelatorSystem, wsyls, p, L, ri, q, a, b):
+    """Replace the matched span by the inverse of the relator complement.
+    wsyls[:p] and wsyls[p + L:] are contiguous parts of a word reduced at
+    the node, so only the replacement and its junctions are pushed."""
+    return system.node.splice(wsyls[:p], _replacement(system, L, ri, q, a, b),
+                              wsyls[p + L:])
 
 
 def _dehn_step(system: RelatorSystem, cur, best, trace: list):
-    """Rewrite cur by the match `best` from `_best_match`: rotate the match
-    into place if it wraps, then replace it by the inverse of the relator
-    complement.  The steps taken are appended to `trace`."""
+    """Rewrite cur, a cyclic word reduced at the node, by the match `best`
+    from `_best_match`: rotate the match into place if it wraps, then
+    replace it by the inverse of the relator complement.  The steps taken
+    are appended to `trace`."""
     _, L, p, ri, q = best
     if p + L > len(cur):
+        # the unmatched part cur[p + L - len(cur):p] stays contiguous
         trace.append(DehnStep("rotate", (p,)))
         wsyls = (list(cur) + list(cur))[p:p + len(cur)]
         p = 0
@@ -526,7 +548,10 @@ def replay_trace(system: RelatorSystem, w, verdict: DehnVerdict) -> bool:
                 wantl = facl.mul_elem(rl[2], b[2]) if b else rl[2]
                 if sl[2] != wantl or (b and not shared.member(sl[1], b[2])):
                     return False
-            cur = _apply_replacement(system, wsyls, p, L, ri, q, a, b)
+            # the full, validating reduction: the replay checks the splice
+            cur = node.reduce(SyllableWord(
+                wsyls[:p] + _replacement(system, L, ri, q, a, b)
+                + wsyls[p + L:]))
         else:
             return False
     if verdict.status == "member":

@@ -38,6 +38,22 @@ class SyllableWord(tuple):
         return f"SyllableWord({format_word(self)!r})"
 
 
+class Reduced(SyllableWord):
+    """A word reduced at one tower node.
+
+    `at` is that node's serial number.  Serials are never reused, so the tag
+    names no other node and keeps no node alive.  Only a node's own
+    reductions make these words; `invert` keeps the tag, and every other
+    function here returns a plain SyllableWord.
+    """
+
+
+def reduced(syllables, at: int) -> Reduced:
+    w = Reduced(syllables)
+    w.at = at
+    return w
+
+
 EMPTY = SyllableWord()
 
 
@@ -82,7 +98,9 @@ def concat(w1, w2, ops: FactorOps) -> SyllableWord:
 
 
 def invert(w, ops: FactorOps) -> SyllableWord:
-    """Inverse word.  Inverting a normalized word keeps it normalized."""
+    """Inverse word.  Inverting a normalized word keeps it normalized, and
+    the inverse of a word reduced at a node is reduced there: the tag is
+    kept."""
     out = []
     for syl in reversed(w):
         kind, ident, val = syl
@@ -90,6 +108,8 @@ def invert(w, ops: FactorOps) -> SyllableWord:
             out.append((FACTOR, ident, ops.inv(ident, val)))
         else:
             out.append((LETTER, ident, -val))
+    if type(w) is Reduced:
+        return reduced(out, w.at)
     return SyllableWord(out)
 
 

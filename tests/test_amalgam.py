@@ -10,11 +10,13 @@ import copy
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from groupforge import fingrp
+from groupforge import amalgam, fingrp
+from groupforge import words as W
 from groupforge.amalgam import (INFINITE, AmalgamNode, BaseNode, CyclicAssoc,
-                                CyclicShared, ExplicitShared, HnnNode,
+                                CyclicShared, ExplicitAssoc, ExplicitShared,
+                                HnnNode,
                                 SchemeError, adjoin_socle_witness,
                                 centralizer_conclusion_check,
                                 conjugate_torsion_into_factor, fresh_letter,
@@ -22,7 +24,7 @@ from groupforge.amalgam import (INFINITE, AmalgamNode, BaseNode, CyclicAssoc,
                                 realize_iso_by_hnn, subgroup_table)
 from groupforge.words import EMPTY, FACTOR, LETTER, SyllableWord
 
-from conftest import free_product, is_isomorphic, z6_hnn, z6_pair
+from conftest import free_product, is_isomorphic, s3xz2_pair, z6_hnn, z6_pair
 
 
 # -- independent reduction oracle ---------------------------------------------
@@ -165,6 +167,34 @@ def test_weakly_cyclic_reduce_always_verifies(w):
     assert AM66.equal(AM66.conjugate_word(core, conj), w)
 
 
+def oracle_weakly_cyclic_reduce(node, w):
+    """Conjugate by the first syllable with full reductions of the rebuilt
+    word until the ends no longer merge."""
+    cur = node.reduce(SyllableWord(w))
+    conj = EMPTY
+    while node._ends_merge(cur):
+        first = SyllableWord([cur[0]])
+        inv_first = node.invert_word(first)
+        cur = node.reduce(SyllableWord(W.concat(
+            W.concat(inv_first, cur, node.ops), first, node.ops)))
+        conj = W.concat(inv_first, conj, node.ops)
+    return cur, conj
+
+
+@pytest.mark.parametrize("node", [AM66, AM66T, s3xz2_pair()],
+                         ids=["amalgam", "twisted", "s3xz2"])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_weakly_cyclic_reduce_matches_full_reductions(node, data):
+    """Each conjugation step pushes one merged syllable onto the middle of
+    the word; rebuilding and reducing the whole word gives the same core
+    and conjugator.  The word is a conjugate, so its ends merge."""
+    w = data.draw(amalgam_words(node))
+    c = data.draw(amalgam_words(node, 4))
+    x = node.conjugate_word(w, c)
+    assert node.weakly_cyclic_reduce(x) == oracle_weakly_cyclic_reduce(node, x)
+
+
 def test_torsion_conjugation_recovers_factor_element():
     w = AM66.conjugate_word(AM66.parse("f0:3"), AM66.parse("f1:1 f0:1"))
     te = conjugate_torsion_into_factor(AM66, w)
@@ -222,6 +252,86 @@ def test_britton_canonical_equal(w):
     assert HN6.canonical(c) == c
 
 
+# -- reduced tags and junction products -----------------------------------------
+
+def z6_hnn_twisted() -> HnnNode:
+    """Z/6 with a stable letter conjugating {0, 2, 4} by inversion."""
+    base = BaseNode(fingrp.cyclic(6), name="c")
+    return HnnNode(base, ExplicitAssoc([0, 2, 4], [0, 4, 2]))
+
+
+JUNCTION_NODES = {"amalgam": z6_pair(), "twisted": s3xz2_pair(),
+                  "hnn": z6_hnn(), "hnn-twisted": z6_hnn_twisted()}
+
+
+def node_words(node, max_len=10):
+    if isinstance(node, HnnNode):
+        return hnn_words(node, max_len)
+    return amalgam_words(node, max_len)
+
+
+@pytest.mark.parametrize("name", sorted(JUNCTION_NODES))
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_junction_product_matches_full_reduction(name, data):
+    """mul_words of two reduced words pushes only through the junction.  The
+    right operand starts with the inverse of a tail of the left one, followed
+    by arbitrary syllables, so the junction cancels and carries deeply."""
+    node = JUNCTION_NODES[name]
+    words = node_words(node)
+    u = node.reduce(data.draw(words))
+    k = data.draw(st.integers(0, len(u)))
+    tail = node.invert_word(SyllableWord(u[len(u) - k:]))
+    v = node.reduce(W.concat(tail, data.draw(words), node.ops))
+    got = node.mul_words(u, v)
+    assert got == node.reduce(W.concat(u, v, node.ops))
+    assert got == node.reduce(SyllableWord(got))  # a fixpoint of reduction
+    assert node._holds(got) and node.reduce(got) is got
+
+
+def test_junction_waits_for_a_stable_letter_to_pinch():
+    """f0:1 t^-1 times f0:3 t: f0:3 appends unchanged, and only the letter
+    after it pinches t^-1 f0:3 t (3 in A) into the left syllable."""
+    node = z6_hnn()
+    t = node.letter
+    u = node.reduce(node.parse(f"f0:1 t{t}^-1"))
+    v = node.reduce(node.parse(f"f0:3 t{t}"))
+    assert node.mul_words(u, v) == node.parse("f0:4")
+    assert node.mul_words(u, v) == node.reduce(W.concat(u, v, node.ops))
+
+
+@pytest.mark.parametrize("name", sorted(JUNCTION_NODES))
+def test_tags_follow_reduction_and_inversion_only(name):
+    node = JUNCTION_NODES[name]
+    second = (node.letter_word()[0] if isinstance(node, HnnNode)
+              else (FACTOR, 1, 1))
+    w = node.reduce(SyllableWord([(FACTOR, 0, 1), second]))
+    assert node._holds(w) and node.reduce(w) is w
+    assert node._holds(node.invert_word(w))
+    assert not node._holds(W.concat(w, w, node.ops))
+    assert not node._holds(W.normalize(w, node.ops))
+    assert not node._holds(node.parse(node.format(w)))
+
+
+def test_a_word_tagged_by_another_node_is_validated_again(monkeypatch):
+    node = z6_pair()
+    w = node.reduce(node.parse("f0:5 f1:1"))
+    small = free_product(3, 3)
+    for op in (lambda x: small.reduce(x),
+               lambda x: small.mul_words(x, small.reduce(EMPTY))):
+        with pytest.raises(SchemeError) as tagged:
+            op(w)
+        with pytest.raises(SchemeError) as plain:
+            op(SyllableWord(w))
+        assert str(tagged.value) == str(plain.value)
+    twin = fresh_twin(node)
+    checked = []
+    monkeypatch.setattr(AmalgamNode, "validate_word",
+                        lambda self, x: checked.append(self))
+    assert twin.reduce(w) == w and checked == [twin]
+    assert node.reduce(w) is w and checked == [twin]
+
+
 def test_letter_has_infinite_order():
     assert HN6.order_of(HN6.letter_word()) == INFINITE
     assert HN6.order_of(HN6.parse("f0:2")) == 3
@@ -263,9 +373,11 @@ def windowed_amalgam(window):
 
 
 def fresh_twin(node):
-    """The same node over the same factors, with an empty coset memo."""
+    """The same node over the same factors, with an empty coset memo and a
+    serial of its own, so it trusts no word the original reduced."""
     twin = copy.copy(node)
     twin._cosets = {}
+    twin.serial = next(amalgam._serials)
     return twin
 
 
@@ -484,7 +596,7 @@ def test_socle_witness_torsion_needs_four_factors():
     for _, e in rec.product:
         acc = out.mul_elem(acc, e)
     assert acc == rec.elem
-    assert out.socle_records[-1] is rec
+    assert rec.node is out
 
 
 def test_socle_witness_infinite_needs_two_factors():

@@ -367,6 +367,26 @@ def test_realize_iso_identity_pairing(capsys, files):
     assert field(out, "verified") == "true"
 
 
+def test_readme_realize_iso_example_prints_its_pinned_output(forge_bin,
+                                                            tmp_path):
+    """README's example over its two-line hat.scheme, in a fresh process so
+    the stable letters are t1 and t2."""
+    (tmp_path / "hat.scheme").write_text("group g s3\nhat h g\n")
+    prefix, env = forge_bin
+    full = "0,1,2,3,4,5"
+    got = subprocess.run(
+        [*prefix, "hnn", "realize-iso", "hat.scheme", "--a", full, "--b", full,
+         "--a-hat", full, "--b-hat", full],
+        capture_output=True, env=env, cwd=tmp_path)
+    assert (got.returncode, got.stdout.decode(), got.stderr) == (EXIT_OK, """\
+node: h+iso2
+letters: t1,t2
+conjugator: f0:6 t2
+hat-conjugator: 0
+verified: true
+""", b"")
+
+
 def test_realize_iso_rejects_unknown_element_index(capsys, files):
     code, out = forge(capsys, "hnn", "realize-iso", files["hat"],
                       "--a", "0,1,99", "--b", "0,2,1",
@@ -466,6 +486,62 @@ def test_sc_obstruct_config_failure(capsys, files):
     assert code == EXIT_FALSE
     assert field(out, "obstructed") == "false"
     assert "witness: y0 lies in the shared subgroup" in out
+
+
+README_SC = [
+    (["tau", "--n", "80"], EXIT_OK, """\
+node: g1*g2
+n: 80
+syllables: 12960
+"""),
+    (["certify", "prod.scheme", "--n", "80"], EXIT_OK, """\
+node: top
+relators: 1
+lengths: 12960,12960
+max-piece: 317
+ratio: 317/12960
+bound: 1/10
+certified: true
+"""),
+    (["decide", "prod.scheme", "f0:1 f1:1", "--n", "80"], EXIT_FALSE, """\
+node: top
+verdict: nonmember
+steps: 0
+max-fraction: 1/6480
+witness: shorter than half the shortest relator; no relator can cover more \
+than half of itself inside it
+"""),
+    (["probe", "prod.scheme", "--n", "80", "--samples", "200"], EXIT_OK, """\
+node: top
+samples: 200
+tower-conjugacies: 0
+undecided: 0
+counterexamples: 0
+ok: true
+"""),
+    (["obstruct", "prod.scheme", "--x0", "f0:4", "--x1", "f1:4", "--y0", "f0:2",
+      "--n", "20"], EXIT_FALSE, """\
+node: top
+config: false (y0 centralizes x0)
+metric: false
+ratio: None
+obstructed: false
+witness: y0 centralizes x0
+"""),
+]
+
+
+@pytest.mark.parametrize("args,code,expected", README_SC,
+                         ids=[a[0] for a, _, _ in README_SC])
+def test_readme_sc_examples_print_their_pinned_output(forge_bin, args, code,
+                                                      expected):
+    """The README's `forge sc` block, each in a fresh process, over the
+    Z5 * Z7 scheme kept as bench/data/prod.scheme."""
+    prefix, env = forge_bin
+    got = subprocess.run([*prefix, "sc", *args], capture_output=True, env=env,
+                         cwd=ROOT / "bench" / "data")
+    assert (got.returncode, got.stdout.decode(), got.stderr) == \
+        (code, expected, b"")
 
 
 # -- universe subcommands ----------------------------------------------------

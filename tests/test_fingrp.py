@@ -416,7 +416,11 @@ def test_localization_matches_all_pairs_oracle(dst):
 # -- permutation groups against the pairwise composition they replace --------
 
 def oracle_perm_table(generators):
-    """Close the generators, then compose every pair of elements."""
+    """Close the generators, then compose every pair of elements, as
+    tuples."""
+    def compose(p, q):  # p then q
+        return tuple(q[i] for i in p)
+
     gens = [tuple(g) for g in generators]
     ident = tuple(range(len(gens[0])))
     elems, index = [ident], {ident: 0}
@@ -425,11 +429,11 @@ def oracle_perm_table(generators):
         p = elems[i]
         i += 1
         for g in gens:
-            q = fingrp._perm_compose(p, g)
+            q = compose(p, g)
             if q not in index:
                 index[q] = len(elems)
                 elems.append(q)
-    return [[index[fingrp._perm_compose(a, b)] for b in elems] for a in elems]
+    return [[index[compose(a, b)] for b in elems] for a in elems]
 
 
 def named_perm_generators(spec, monkeypatch):

@@ -201,6 +201,51 @@ def test_key_matcher_agrees_with_bucket_oracle(case):
         assert _best_match(system, w) == oracle_best_match(system, w)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(tau_cases())
+def test_spliced_replacement_matches_full_reduction(case):
+    """A Dehn replacement pushes only the replacement and its junctions; the
+    full reduction of the rebuilt word agrees, with the span in place and
+    with it rotated to the front (the unmatched rest contiguous in cur)."""
+    system, seed = case
+    node = system.node
+    rng = random.Random(seed)
+
+    def carry(side):
+        shared = [s for s, _ in node._shared.scan(side)
+                  if not node.factors[side].is_identity_elem(s)]
+        if shared and rng.random() < 0.7:
+            return (FACTOR, side, rng.choice(shared))
+        return None
+
+    for cur in sample_words(system, rng):
+        n = len(cur)
+        ri = rng.randrange(len(system.cyclic_relators))
+        rlen = len(system.cyclic_relators[ri])
+        for rotate in (False, True):
+            if rotate:
+                if n < 2 or rlen < 2:
+                    continue
+                p = rng.randrange(1, n)
+                L = rng.randint(n - p + 1, max(n - p + 1, min(n, rlen)))
+                if L > rlen:
+                    continue
+                wsyls = (list(cur) + list(cur))[p:p + n]
+                p = 0
+            else:
+                p = rng.randrange(n)
+                L = rng.randint(1, min(n - p, rlen))
+                wsyls = list(cur)
+            q = rng.randrange(rlen)
+            a, b = carry(wsyls[p][1]), carry(wsyls[p + L - 1][1])
+            want = node.reduce(SyllableWord(
+                wsyls[:p] + smallcancel._replacement(system, L, ri, q, a, b)
+                + wsyls[p + L:]))
+            got = smallcancel._apply_replacement(system, wsyls, p, L, ri, q,
+                                                 a, b)
+            assert got == want and node._holds(got)
+
+
 @pytest.mark.parametrize("name,n", [("z5*z7", 4), ("z3*z5", 5), ("s3xz2", 3)])
 def test_key_collisions_are_settled_by_verification(monkeypatch, name, n):
     """With keys folded into seven buckets nearly every key hit is a false
@@ -214,6 +259,8 @@ def test_key_collisions_are_settled_by_verification(monkeypatch, name, n):
     keys = smallcancel._keys
     monkeypatch.setattr(smallcancel, "_keys",
                         lambda arrays, L, count: keys(arrays, L, count) % 7)
+    # a fresh system: the first one keeps the relator keys it computed
+    system = RelatorSystem(node, system.relators)
     assert (max_piece(system), [_best_match(system, w) for w in words]) == want
 
 
