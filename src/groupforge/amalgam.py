@@ -279,24 +279,26 @@ class Node:
         """w carries this node's reduced tag."""
         return type(w) is Reduced and w.at == self.serial
 
-    def splice(self, left, mid, right) -> Reduced:
-        """The reduced form of left . mid . right, for left and right reduced
-        at this node or contiguous parts of words reduced here.
+    def splice(self, left, mid, *rights) -> Reduced:
+        """The reduced form of left . mid . rights[0] . rights[1] ..., for
+        left and each right reduced at this node or contiguous parts of
+        words reduced here.
 
-        Compound nodes only.  left is copied and mid pushed onto it.  right
-        is pushed only until one of its syllables of a kind in `_settling`
-        is appended unchanged; the rest of right then appends unchanged, so
-        it is copied.
+        left is copied and mid pushed onto it.  Each right in turn is pushed
+        only until one of its syllables of a kind in `_settling` is appended
+        unchanged; the rest of that right then appends unchanged, so it is
+        copied.
         """
         out = list(left)
         push = self._push
         for syl in mid:
             push(out, syl)
         settling = self._settling
-        for i, syl in enumerate(right):
-            if push(out, syl) and syl[0] in settling:
-                out.extend(right[i + 1:])
-                break
+        for right in rights:
+            for i, syl in enumerate(right):
+                if push(out, syl) and syl[0] in settling:
+                    out.extend(right[i + 1:])
+                    break
         return W.reduced(out, self.serial)
 
     def canonical(self, w) -> SyllableWord:
@@ -428,6 +430,15 @@ class BaseNode(Node):
     def canonical(self, w) -> SyllableWord:
         return self.reduce(w)
 
+    # a reduced word is one syllable at most, and each push multiplies into it
+    _settling = ()
+
+    def _push(self, out, syl) -> bool:
+        acc = self.group.mul(out.pop()[2], syl[2]) if out else syl[2]
+        if acc != self.group.identity:
+            out.append((FACTOR, 0, acc))
+        return False
+
     def order_of(self, w):
         return self.group.order_of(self.intern(w))
 
@@ -482,7 +493,7 @@ class AmalgamNode(Node):
         if self._holds(w):
             return w
         self.validate_word(w)
-        return self.splice(EMPTY, w, EMPTY)
+        return self.splice(EMPTY, w)
 
     # once a syllable of a reduced word appends unchanged, the next one is on
     # the other side and outside the shared subgroup, so it appends too
@@ -574,7 +585,7 @@ class AmalgamNode(Node):
                       self.factors[side].mul_elem(cur[-1][2], cur[0][2]))
             conj = W.concat(self.invert_word(SyllableWord(cur[:1])), conj,
                             self.ops)
-            cur = self.splice(cur[1:-1], (merged,), EMPTY)
+            cur = self.splice(cur[1:-1], (merged,))
         return cur, conj
 
 
@@ -629,7 +640,7 @@ class HnnNode(Node):
         if self._holds(w):
             return w
         self.validate_word(w)
-        return self.splice(EMPTY, w, EMPTY)
+        return self.splice(EMPTY, w)
 
     # a base syllable appended unchanged can still pinch with the letter
     # after it; a stable letter appended unchanged ends every pinch
@@ -706,14 +717,16 @@ class HnnNode(Node):
         return SyllableWord(syls)
 
     def cyclic_britton_reduce(self, w) -> SyllableWord:
-        """A conjugate of w with minimal stable-letter count, reduced."""
+        """A conjugate of w with minimal stable-letter count, reduced.  Each
+        rotation pushes the first syllable onto the rest, a contiguous part
+        of the reduced word."""
         cur = self.reduce(w)
         while True:
             letters = [p for p, s in enumerate(cur) if s[0] == LETTER]
             if not letters:
                 return cur
             if cur[0][0] == FACTOR:
-                cur = self.reduce(SyllableWord(list(cur[1:]) + [cur[0]]))
+                cur = self.splice(cur[1:], cur[:1])
                 continue
             e1 = cur[0][2]
             lastpos = letters[-1]
@@ -726,7 +739,7 @@ class HnnNode(Node):
                 side = 0 if e_last == -1 else 1
                 if self.base.is_identity_elem(tail) or self._assoc.member(side, tail):
                     # wrap-around pinch: rotate the first letter to the end
-                    cur = self.reduce(SyllableWord(list(cur[1:]) + [cur[0]]))
+                    cur = self.splice(cur[1:], cur[:1])
                     continue
             return cur
 

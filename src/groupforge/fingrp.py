@@ -123,15 +123,56 @@ class FiniteGroup:
         return [self.order_of(a) for a in range(self.n)]
 
     def center(self) -> tuple:
-        """The elements whose row equals their column.  Commuting with the
-        first four elements narrows the candidates cheaply; one comparison
-        of rows and columns settles the rest."""
+        """The elements that commute with a generating set, in index order.
+
+        Each tested element is the least one outside the subgroup that the
+        tested ones generate, and it narrows the candidates.  Once at most
+        four are left, comparing their rows with their columns costs less
+        than growing the subgroup further."""
         T = self.table
         cand = np.arange(self.n)
-        for x in range(min(self.n, 4)):
+        sub = np.array([self.identity])
+        inside = np.zeros(self.n, dtype=bool)
+        inside[self.identity] = True
+        gens: list[int] = []
+        while len(cand) > 4:
+            if gens:
+                sub = self._join(sub, inside, gens)
+            if len(sub) == self.n:
+                return tuple(cand.tolist())
+            x = int(np.argmin(inside))
             cand = cand[T[cand, x] == T[x, cand]]
+            gens.append(x)
         central = (T[cand] == T[:, cand].T).all(axis=1)
         return tuple(cand[central].tolist())
+
+    def _join(self, sub, inside, gens):
+        """The elements of K = <gens>, for `sub` the elements of H = <gens
+        but the last>, `inside` its mask (updated to K's).
+
+        K is a union of right cosets H r.  It holds H x^j for j below the
+        least m with x^m in H, x the new generator; then each
+        representative times each generator must land in K, and every
+        product outside it adds its coset, until none does."""
+        T = self.table
+        x = gens[-1]
+        powers, y = [self.identity], x
+        while not inside[y]:
+            powers.append(y)
+            y = T[y, x]
+        got = [T[sub[:, None], powers].ravel()]
+        inside[got[0]] = True
+        reps = powers[1:]
+        while reps:
+            added = []
+            for y in T[np.array(reps)[:, None], gens].ravel().tolist():
+                if not inside[y]:
+                    coset = T[sub, y]
+                    inside[coset] = True
+                    got.append(coset)
+                    added.append(y)
+            reps = added
+        return np.concatenate(got)
 
     def subgroup_closure(self, gens: Iterable[int]) -> tuple:
         seen = {self.identity}

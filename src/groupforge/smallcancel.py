@@ -31,17 +31,15 @@ below half means non-member, and exactly half is reported undecided.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import chain
 from typing import Iterable, Optional
 
 import numpy as np
 
 from . import words as W
 from .amalgam import AmalgamNode, HnnNode, Node, SchemeError
-from .words import FACTOR, SyllableWord
+from .words import EMPTY, FACTOR, SyllableWord
 
 # (prime modulus, base) of the two span fingerprints; a modulus below 2^31
 # keeps every product of two residues inside int64
@@ -61,15 +59,14 @@ def build_tau(node: Node, x0_word, x1_word, n: int) -> SyllableWord:
     x1 = node.reduce(x1_word)
     if not x0 or not x1:
         raise SchemeError("tau generators must be nontrivial")
-    ops = node.ops
-    x1sq = node.reduce(W.concat(x1, x1, ops))
-    block_a = W.concat(x0, x1, ops)
-    block_b = W.concat(x0, x1sq, ops)
+    block_a = node.mul_words(x0, x1)
+    block_b = node.mul_words(x0, node.mul_words(x1, x1))
+    # the blocks are reduced, so only their junctions are pushed
     parts = []
     for k in range(1, n + 1):
         parts.extend([block_a] * k)
         parts.extend([block_b] * k)
-    return node.reduce(W.normalize(chain.from_iterable(parts), ops))
+    return node.splice(EMPTY, EMPTY, *parts)
 
 
 def build_relator(node: Node, z_word, x0_word, x1_word, n: int) -> SyllableWord:
@@ -150,12 +147,15 @@ class RelatorSystem:
 
     def _arrays_for(self, w):
         """Doubled class-id lists, their int64 codes and the fingerprint
-        prefix sums for a nonempty cyclic word."""
-        got = [self._class_of(syl) for syl in w]
-        eid, lid, rid, did = (list(ids) * 2
-                              for ids in zip(*(g[0] for g in got)))
+        prefix sums for a nonempty cyclic word.  Each distinct syllable is
+        classified once."""
+        index: dict = {}
+        at = [index.setdefault(syl, len(index)) for syl in w]
+        got = [self._class_of(syl) for syl in index]
+        lid, rid, did = ([col[i] for i in at] * 2
+                         for col in list(zip(*(g[0] for g in got)))[1:])
         codes = np.array([g[1] for g in got], dtype=np.int64)
-        ecode, lcode, rcode, dcode = np.concatenate([codes, codes]).T.copy()
+        ecode, lcode, rcode, dcode = codes.T.take(at * 2, axis=1)
         # pref[k] = sum of ecode[j] * base^j over j < k, and inv[j] = base^-j,
         # so (pref[s + m] - pref[s]) * inv[s] fingerprints the m codes from s
         pref, inv = [], []
@@ -163,7 +163,7 @@ class RelatorSystem:
             terms = ecode * _powers(base, mod, len(ecode)) % mod
             pref.append(np.concatenate([[0], np.cumsum(terms) % mod]))
             inv.append(_powers(pow(base, mod - 2, mod), mod, len(ecode)))
-        return {"eid": eid, "lid": lid, "rid": rid, "did": did,
+        return {"eid": list(w) * 2, "lid": lid, "rid": rid, "did": did,
                 "lcode": lcode, "rcode": rcode, "dcode": dcode,
                 "pref": pref, "inv": inv, "n": len(w)}
 
@@ -204,22 +204,30 @@ def _powers(base, mod, count):
     return out
 
 
-def _keys(arrays, L, count):
-    """int64 keys of the spans of length L starting at 0 .. count-1.
+def _keys(arrays, L, at):
+    """int64 keys of the spans of length L starting at the offsets `at`: an
+    int64 array of offsets, or a count for the offsets 0 .. at-1 (read by
+    slicing, which costs about half as much as gathering every offset).
 
     A span's signature is its double-coset class when L == 1, else its left
     class, exact interior and right class; equal signatures give equal
     keys.  For L >= 2 the key packs one fingerprint per prime of the
     sequence (left code, interior codes, right code)."""
+    if isinstance(at, int):
+        def shift(d):
+            return slice(d, d + at)
+    else:
+        def shift(d):
+            return at + d
     if L == 1:
-        return arrays["dcode"][:count]
-    left = arrays["lcode"][:count]
-    right = arrays["rcode"][L - 1:L - 1 + count]
-    key = np.zeros(count, dtype=np.int64)
+        return arrays["dcode"][shift(0)]
+    left = arrays["lcode"][shift(0)]
+    right = arrays["rcode"][shift(L - 1)]
+    first, last = shift(1), shift(L - 1)
+    key = 0
     for (mod, base), pref, inv in zip(_FINGERPRINTS, arrays["pref"],
                                       arrays["inv"]):
-        inner = ((pref[L - 1:L - 1 + count] - pref[1:1 + count]) % mod
-                 * inv[1:1 + count] % mod)
+        inner = (pref[last] - pref[first]) % mod * inv[first] % mod
         top = pow(base, L - 1, mod)
         key = key << 31 | (left + inner * base % mod + right * top % mod) % mod
     return key
@@ -259,46 +267,57 @@ def max_piece(system: RelatorSystem) -> MetricReport:
         raise SchemeError("metric needs relators of syllable length at "
                           "least two")
     for r in rels:
-        for i in range(len(r)):
-            a, b = r[i], r[(i + 1) % len(r)]
+        for a, b in zip(r, r[1:] + r[:1]):
             if a[0] == FACTOR and b[0] == FACTOR and a[1] == b[1]:
                 raise SchemeError(
                     "metric needs relators whose syllables alternate "
                     "factors cyclically")
     arrays = system._relator_arrays()
 
-    def occurs_twice(L):
+    def occurs_twice(L, pool):
         """The first span in scan order (relator, then offset) that verifies
-        against an earlier one, paired with the first such earlier span."""
-        live = [ri for ri, arr in enumerate(arrays) if L <= arr["n"]]
-        starts = [0]
-        for ri in live:
-            starts.append(starts[-1] + arrays[ri]["n"])
+        against an earlier one, paired with the first such earlier span, and
+        the spans whose key repeats; None when no span verifies.
 
-        def span(j):
-            k = bisect_right(starts, j) - 1
-            return live[k], j - starts[k]
-
-        keys = np.concatenate([_keys(arrays[ri], L, arrays[ri]["n"])
-                               for ri in live])
+        `pool` holds (relator, offsets) in scan order, the offsets as in
+        `_keys`.  Only spans whose key repeats can verify, so only they are
+        scanned."""
+        live = [(ri, at) for ri, at in pool if L <= arrays[ri]["n"]]
+        keys = np.concatenate([_keys(arrays[ri], L, at) for ri, at in live])
+        ordered = np.sort(keys)
+        repeats = ordered[1:][ordered[1:] == ordered[:-1]]
+        if not len(repeats):
+            return None
+        offs = [np.arange(at) if isinstance(at, int) else at for _, at in live]
+        rel = np.concatenate([np.full(len(o), ri)
+                              for (ri, _), o in zip(live, offs)])
+        off = np.concatenate(offs)
+        kept = repeats[np.minimum(np.searchsorted(repeats, keys),
+                                  len(repeats) - 1)] == keys
+        rel, off, keys = rel[kept], off[kept], keys[kept]
         _, first, group = np.unique(keys, return_index=True,
                                     return_inverse=True)
+        span = list(zip(rel.tolist(), off.tolist()))
         # candidates: spans whose key already occurred earlier in scan order
         for j in np.flatnonzero(first[group] < np.arange(len(keys))).tolist():
-            rj, p = span(j)
+            rj, p = span[j]
             for i in np.flatnonzero(group[:j] == group[j]).tolist():
-                qi, q = span(i)
+                qi, q = span[i]
                 if _verify_fuzzy(arrays[qi], q, arrays[rj], p, L):
-                    return ((qi, q), (rj, p))
+                    return (((qi, q), (rj, p)),
+                            [(ri, off[rel == ri]) for ri, _ in live])
         return None
 
+    # every probe after a hit is longer, and a piece truncates to a piece at
+    # the same offsets, so it keys only the spans whose key repeated there
+    pool = [(ri, arr["n"]) for ri, arr in enumerate(arrays)]
     lo, hi = 0, max(lengths)
     witness = None
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        got = occurs_twice(mid)
+        got = occurs_twice(mid, pool)
         if got is not None:
-            witness = got
+            witness, pool = got
             lo = mid
         else:
             hi = mid - 1

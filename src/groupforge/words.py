@@ -13,7 +13,7 @@ scheme modules.
 
 from __future__ import annotations
 
-from typing import Iterable, Protocol
+from typing import Protocol
 
 FACTOR = "f"
 LETTER = "t"
@@ -57,20 +57,6 @@ def reduced(syllables, at: int) -> Reduced:
 EMPTY = SyllableWord()
 
 
-def normalize(syllables: Iterable, ops: FactorOps) -> SyllableWord:
-    """Merge adjacent same-factor syllables, drop identities, cancel t t^-1.
-
-    The result never has two adjacent syllables of the same factor, no
-    identity syllables, and no adjacent mutually inverse occurrences of the
-    same stable letter.  Anything deeper (shared-subgroup membership, Britton
-    pinches through a base element) is the owning scheme's job.
-    """
-    out: list = []
-    for syl in syllables:
-        _push(out, syl, ops)
-    return SyllableWord(out)
-
-
 def _push(out: list, syl, ops: FactorOps) -> None:
     while True:
         kind, ident, val = syl
@@ -91,6 +77,11 @@ def _push(out: list, syl, ops: FactorOps) -> None:
 
 
 def concat(w1, w2, ops: FactorOps) -> SyllableWord:
+    """w1 . w2 with adjacent same-factor syllables merged, identity
+    syllables dropped and adjacent t t^-1 cancelled.  For a normalized w1
+    the result is normalized, so `concat(EMPTY, w, ops)` normalizes w.
+    Anything deeper (shared-subgroup membership, Britton pinches through a
+    base element) is the owning scheme's job."""
     out = list(w1)
     for syl in w2:
         _push(out, syl, ops)
@@ -100,14 +91,19 @@ def concat(w1, w2, ops: FactorOps) -> SyllableWord:
 def invert(w, ops: FactorOps) -> SyllableWord:
     """Inverse word.  Inverting a normalized word keeps it normalized, and
     the inverse of a word reduced at a node is reduced there: the tag is
-    kept."""
+    kept.  Each distinct syllable is inverted once."""
+    memo: dict = {}
     out = []
     for syl in reversed(w):
-        kind, ident, val = syl
-        if kind == FACTOR:
-            out.append((FACTOR, ident, ops.inv(ident, val)))
-        else:
-            out.append((LETTER, ident, -val))
+        got = memo.get(syl)
+        if got is None:
+            kind, ident, val = syl
+            if kind == FACTOR:
+                got = (FACTOR, ident, ops.inv(ident, val))
+            else:
+                got = (LETTER, ident, -val)
+            memo[syl] = got
+        out.append(got)
     if type(w) is Reduced:
         return reduced(out, w.at)
     return SyllableWord(out)

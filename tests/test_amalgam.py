@@ -309,7 +309,7 @@ def test_tags_follow_reduction_and_inversion_only(name):
     assert node._holds(w) and node.reduce(w) is w
     assert node._holds(node.invert_word(w))
     assert not node._holds(W.concat(w, w, node.ops))
-    assert not node._holds(W.normalize(w, node.ops))
+    assert not node._holds(W.concat(W.EMPTY, w, node.ops))
     assert not node._holds(node.parse(node.format(w)))
 
 
@@ -344,6 +344,57 @@ def test_cyclic_britton_reduce_shrinks_conjugates():
     letters = lambda u: sum(1 for s in u if s[0] == LETTER)
     assert letters(r) <= letters(HN6.reduce(w))
     assert letters(HN6.cyclic_britton_reduce(r)) == letters(r)
+
+
+def oracle_cyclic_britton_reduce(node, w):
+    """The rotation loop with a full, validating reduction of each rotated
+    word."""
+    cur = node.reduce(w)
+    while True:
+        letters = [p for p, s in enumerate(cur) if s[0] == LETTER]
+        if not letters:
+            return cur
+        rotated = node.reduce(SyllableWord(list(cur[1:]) + [cur[0]]))
+        if cur[0][0] == FACTOR:
+            cur = rotated
+            continue
+        e1, lastpos = cur[0][2], letters[-1]
+        if cur[lastpos][2] == -e1:
+            tail = (cur[lastpos + 1][2] if lastpos + 1 < len(cur)
+                    else node.base.identity_elem())
+            side = 0 if cur[lastpos][2] == -1 else 1
+            if (node.base.is_identity_elem(tail)
+                    or node._assoc.member(side, tail)):
+                cur = rotated
+                continue
+        return cur
+
+
+CYCLIC_HNN = {"plain": HN6, "twisted": z6_hnn_twisted()}
+
+
+@pytest.mark.parametrize("name", sorted(CYCLIC_HNN))
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cyclic_britton_reduce_matches_full_rotations(name, data):
+    """Each rotation pushes one syllable onto the rest; conjugating by a
+    word with letters makes the ends pinch around the wrap."""
+    node = CYCLIC_HNN[name]
+    words = hnn_words(node, 6)
+    u, c = data.draw(words), data.draw(words)
+    w = SyllableWord(list(W.invert(c, node.ops)) + list(u) + list(c))
+    got = node.cyclic_britton_reduce(w)
+    assert got == oracle_cyclic_britton_reduce(node, w)
+    assert node._holds(got) and node.reduce(SyllableWord(got)) == got
+
+
+def test_cyclic_britton_reduce_pinches_around_the_wrap():
+    """t f0:1 t^-1 f0:3: the last letter and the tail 3 in A pinch with the
+    first letter once it is rotated to the end."""
+    t = HN6.letter
+    w = HN6.parse(f"t{t} f0:1 t{t}^-1 f0:3")
+    assert HN6.cyclic_britton_reduce(w) == HN6.parse("f0:4")
+    assert oracle_cyclic_britton_reduce(HN6, w) == HN6.parse("f0:4")
 
 
 def test_cyclic_assoc_spec():

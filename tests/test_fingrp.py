@@ -11,6 +11,7 @@ plain per-candidate and per-pair loops they replace.
 import math
 from itertools import permutations, product as iproduct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -103,6 +104,64 @@ def test_group_orders_and_centers():
     assert trivial().n == 1
     g = direct_product(symmetric(3), cyclic(2))
     assert g.n == 12 and len(g.center()) == 2
+
+
+def oracle_center(g):
+    """The elements whose row of the table equals their column."""
+    T = g.table
+    return tuple(a for a in range(g.n) if (T[a] == T[:, a]).all())
+
+
+CENTER_GROUPS = (["1", "q8"] + [f"z{k}" for k in range(1, 13)]
+                 + [f"s{k}" for k in range(1, 8)]
+                 + [f"a{k}" for k in range(3, 8)]
+                 + [f"d{k}" for k in range(3, 13)]
+                 + ["s3xz2", "z2xz2xz2", "q8xz3", "s3xs3", "d4xz3", "a4xz2",
+                    "d2520", "z5040"])
+
+
+@pytest.mark.parametrize("name", CENTER_GROUPS)
+def test_center_matches_the_row_column_oracle(name):
+    """Narrowing by a growing generating set keeps exactly the central
+    elements, in index order."""
+    g = named_group(name)
+    assert g.center() == oracle_center(g)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(["s3", "q8", "d4", "s3xz2", "q8xz3", "a4xz2", "z2xz6"]),
+       st.randoms(use_true_random=False))
+def test_center_under_relabelling(name, rnd):
+    """Relabelled tables put the identity and the generators anywhere."""
+    g = named_group(name)
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    table = [[0] * g.n for _ in range(g.n)]
+    for a in range(g.n):
+        for b in range(g.n):
+            table[perm[a]][perm[b]] = perm[int(g.table[a, b])]
+    h = FiniteGroup(table, name=name)
+    assert h.center() == oracle_center(h)
+    assert len(h.center()) == len(g.center())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(["s4", "a5", "d12", "q8xz3", "z2xz6", "s3xs3"]),
+       st.randoms(use_true_random=False))
+def test_join_grows_the_generated_subgroup(name, rnd):
+    """Each join returns exactly the subgroup the generators so far
+    generate, each element once."""
+    g = named_group(name)
+    sub = np.array([g.identity])
+    inside = np.zeros(g.n, dtype=bool)
+    inside[g.identity] = True
+    gens = []
+    while len(sub) < g.n:
+        gens.append(rnd.choice([a for a in range(g.n) if not inside[a]]))
+        sub = g._join(sub, inside, gens)
+        want = g.subgroup_closure(gens)
+        assert sorted(sub.tolist()) == list(want)
+        assert np.flatnonzero(inside).tolist() == list(want)
 
 
 @given(st.integers(2, 12), st.integers(0, 11))

@@ -12,13 +12,15 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from groupforge import fingrp, smallcancel
 from groupforge import words as W
 from groupforge.amalgam import (AmalgamNode, BaseNode, CyclicShared,
-                                ExplicitShared, SchemeError)
+                                ExplicitAssoc, ExplicitShared, HnnNode,
+                                SchemeError)
 from groupforge.smallcancel import (RelatorSystem, _best_match,
                                     _verify_fuzzy, build_relator, build_tau,
                                     check_metric, greendlinger_decide,
@@ -264,6 +266,117 @@ def test_key_collisions_are_settled_by_verification(monkeypatch, name, n):
     assert (max_piece(system), [_best_match(system, w) for w in words]) == want
 
 
+def hnn_tau_system(n):
+    node = z6_hnn()
+    t = node.letter
+    return RelatorSystem(node, [build_tau(node, node.parse(f"t{t} f0:1"),
+                                          node.parse(f"t{t}^-1 f0:2"), n)])
+
+
+def two_relator_system():
+    node = free_product(5, 7)
+    return RelatorSystem(node, [
+        node.parse("f0:1 f1:1 f0:2 f1:3 f0:1 f1:1"),
+        node.parse("f0:3 f1:2 f0:1 f1:1 f0:1 f1:1 f0:2 f1:5")])
+
+
+def named_tau_system(name, x0, x1, n):
+    node = TAU_NODES[name]()
+    return RelatorSystem(node, [build_tau(node, node.parse(x0),
+                                          node.parse(x1), n)])
+
+
+def s3_pair_over_a_transposition():
+    """Two copies of S3 glued along a subgroup of order 2 that is not
+    normal, so left and right classes differ."""
+    g = fingrp.symmetric(3)
+    s = next(a for a in range(g.n) if g.order_of(a) == 2)
+    return AmalgamNode(BaseNode(g, name="l"), BaseNode(g, name="r"),
+                       ExplicitShared([g.identity, s], [g.identity, s]))
+
+
+def s3_pair_tau_system(n):
+    node = s3_pair_over_a_transposition()
+    return RelatorSystem(node, [build_tau(node, node.parse("f0:3"),
+                                          node.parse("f1:5"), n)])
+
+
+PIECE_SYSTEMS = {
+    "z5*z7": lambda: named_tau_system("z5*z7", "f0:1", "f1:1", 7),
+    "z5*z7-two": two_relator_system,
+    "s3xz2": lambda: named_tau_system("s3xz2", "f0:4", "f1:5", 5),
+    "s3-over-z2": lambda: s3_pair_tau_system(6),
+    "hnn": lambda: hnn_tau_system(5),
+}
+
+
+@pytest.mark.parametrize("collide", [False, True])
+@pytest.mark.parametrize("name", sorted(PIECE_SYSTEMS))
+def test_max_piece_matches_the_bucket_oracle(monkeypatch, name, collide):
+    """The sorted-key probes and the survivor narrowing after each hit give
+    the bucket scan's piece and witness.  With keys folded into seven
+    buckets nearly every repeat is a false one, so the sort, the survivor
+    keys and the verification all run."""
+    system = PIECE_SYSTEMS[name]()
+    keys, narrowed = smallcancel._keys, []
+
+    def spy(arrays, L, at):
+        narrowed.append(not isinstance(at, int))
+        return keys(arrays, L, at) % 7 if collide else keys(arrays, L, at)
+
+    monkeypatch.setattr(smallcancel, "_keys", spy)
+    rep = max_piece(system)
+    assert (rep.max_piece, rep.witness) == oracle_max_piece(system)
+    assert any(narrowed)
+
+
+def oracle_arrays(system, w):
+    """`_arrays_for` by one class lookup per syllable and Python-int
+    fingerprint sums."""
+    got = [system._class_of(syl) for syl in w]
+    eid, lid, rid, did = (list(ids) * 2
+                          for ids in zip(*(g[0] for g in got)))
+    ecode, lcode, rcode, dcode = (list(codes) * 2
+                                  for codes in zip(*(g[1] for g in got)))
+    pref, inv = [], []
+    for mod, base in smallcancel._FINGERPRINTS:
+        sums = [0]
+        for j, c in enumerate(ecode):
+            sums.append((sums[-1] + c * pow(base, j, mod)) % mod)
+        pref.append(sums)
+        inv.append([pow(base, -j, mod) for j in range(len(ecode))])
+    return {"eid": eid, "lid": lid, "rid": rid, "did": did,
+            "lcode": lcode, "rcode": rcode, "dcode": dcode,
+            "pref": pref, "inv": inv, "n": len(w)}
+
+
+@pytest.mark.parametrize("name", sorted(PIECE_SYSTEMS))
+def test_arrays_for_matches_the_per_syllable_oracle(name):
+    """Classifying each distinct syllable once gives every field, and the
+    same class codes in the same order, as classifying each syllable."""
+    system = PIECE_SYSTEMS[name]()
+    fresh = RelatorSystem(system.node, system.relators)
+    words = list(system.cyclic_relators)
+    if name != "hnn":
+        words += sample_words(system, random.Random(5))
+    for w in words:
+        got = system._arrays_for(w)
+        want = oracle_arrays(fresh, w)
+        assert sorted(got) == sorted(want)
+        for field, value in want.items():
+            if field in ("pref", "inv"):
+                assert [v.tolist() for v in got[field]] == value, field
+            elif field.endswith("code"):
+                assert got[field].tolist() == value, field
+            else:
+                assert got[field] == value, field
+        assert got["lcode"].dtype == np.int64
+    assert system._codes == fresh._codes
+    if name == "s3-over-z2":
+        arr = system._relator_arrays()[0]
+        assert arr["lid"] != arr["rid"] and arr["lid"] != arr["eid"]
+
+
 def oracle_class_ids(system, syl):
     """The four class ids by plain nested right- and double-coset loops,
     keeping the first least candidate."""
@@ -359,6 +472,78 @@ def test_tau_matches_blockwise_concatenation(name, x0, x1):
     x0, x1 = node.parse(x0), node.parse(x1)
     for n in range(1, 41):
         assert build_tau(node, x0, x1, n) == quadratic_tau(node, x0, x1, n)
+
+
+def z6_hnn_twisted():
+    """Z/6 with a stable letter conjugating {0, 2, 4} by inversion."""
+    return HnnNode(BaseNode(fingrp.cyclic(6), name="c"),
+                   ExplicitAssoc([0, 2, 4], [0, 4, 2]))
+
+
+BLOCK_NODES = {"amalgam": z6_pair, "twisted": lambda: z6_pair(twist=True),
+               "s3xz2": s3xz2_pair, "hnn": z6_hnn, "hnn-twisted": z6_hnn_twisted}
+
+
+def raw_words(node, max_len):
+    if isinstance(node, HnnNode):
+        syls = st.one_of(
+            st.tuples(st.just(FACTOR), st.just(0),
+                      st.integers(0, node.base.elem_count() - 1)),
+            st.tuples(st.just("t"), st.just(node.letter),
+                      st.sampled_from([1, -1])))
+    else:
+        syls = st.one_of(*(
+            st.tuples(st.just(FACTOR), st.just(side),
+                      st.integers(0, node.factors[side].elem_count() - 1))
+            for side in (0, 1)))
+    return st.lists(syls, min_size=1, max_size=max_len).map(SyllableWord)
+
+
+def product_of_blocks(node, x0, x1, n):
+    """tau by the full, validating reduction of its blocks written out: the
+    reference for the junction-splicing pass."""
+    x0, x1 = node.reduce(x0), node.reduce(x1)
+    block_a = node.mul_words(x0, x1)
+    block_b = node.mul_words(x0, node.mul_words(x1, x1))
+    syls = []
+    for k in range(1, n + 1):
+        syls += list(block_a) * k + list(block_b) * k
+    return node.reduce(SyllableWord(syls)), len(syls)
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_NODES))
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_tau_is_the_product_of_its_blocks(name, data):
+    """Multi-syllable generators whose blocks cancel, carry and pinch at the
+    junctions."""
+    node = BLOCK_NODES[name]()
+    x0 = data.draw(raw_words(node, 4))
+    x1 = data.draw(raw_words(node, 4))
+    n = data.draw(st.integers(1, 6))
+    if not node.reduce(x0) or not node.reduce(x1):
+        return
+    want, _ = product_of_blocks(node, x0, x1, n)
+    got = build_tau(node, x0, x1, n)
+    assert got == want and node._holds(got)
+
+
+@pytest.mark.parametrize("name,x0,x1", [
+    ("amalgam", "f0:5 f1:1", "f1:3 f0:5"),
+    ("twisted", "f0:5 f1:3 f0:5 f1:1", "f1:1 f0:3 f1:1"),
+    ("s3xz2", "f0:2 f1:4", "f1:4 f0:11"),
+    ("hnn", "f0:5 t", "t f0:5"),
+    ("hnn-twisted", "f0:2 t", "t f0:2")])
+def test_tau_blocks_merge_at_the_junctions(name, x0, x1):
+    """Blocks that carry or pinch into their neighbours: tau is shorter than
+    its blocks written out."""
+    node = BLOCK_NODES[name]()
+    letter = f"t{getattr(node, 'letter', '')}"
+    x0, x1 = (node.parse(x.replace("t", letter)) for x in (x0, x1))
+    for n in (1, 4, 9):
+        want, written = product_of_blocks(node, x0, x1, n)
+        got = build_tau(node, x0, x1, n)
+        assert got == want and len(got) < written
 
 
 def test_tau_is_linear_in_its_length(fp57):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from groupforge.words import (EMPTY, FACTOR, LETTER, SyllableWord, concat,
-                              conjugate, format_word, invert, normalize,
-                              parse_word)
+                              conjugate, format_word, invert, parse_word,
+                              reduced)
 
 
 class ModOps:
@@ -50,19 +50,26 @@ letter_syls = st.tuples(st.just(LETTER), st.integers(0, 1),
                         st.sampled_from([1, -1]))
 syllables = st.one_of(factor_syls, letter_syls)
 raw_words = st.lists(syllables, max_size=12).map(SyllableWord)
-norm_words = raw_words.map(lambda w: normalize(w, OPS))
+
+
+def normalize(w):
+    """Merge-normalize w: concatenation onto the empty word."""
+    return concat(EMPTY, w, OPS)
+
+
+norm_words = raw_words.map(normalize)
 
 
 @given(raw_words)
 def test_normalize_output_validates(w):
     """Whatever goes in, the merged word satisfies the invariants."""
-    validate(normalize(w, OPS), OPS)
+    validate(normalize(w), OPS)
 
 
 @given(raw_words)
 def test_normalize_idempotent(w):
-    n = normalize(w, OPS)
-    assert normalize(n, OPS) == n
+    n = normalize(w)
+    assert normalize(n) == n
 
 
 @given(norm_words, norm_words, norm_words)
@@ -85,6 +92,40 @@ def test_invert_involution(w):
 def test_word_times_inverse_cancels(w):
     assert concat(w, invert(w, OPS), OPS) == EMPTY
     assert concat(invert(w, OPS), w, OPS) == EMPTY
+
+
+class CountingOps(ModOps):
+    """ModOps that records each inv call."""
+
+    def __init__(self, *moduli):
+        super().__init__(*moduli)
+        self.inv_calls = []
+
+    def inv(self, f, a):
+        self.inv_calls.append((f, a))
+        return super().inv(f, a)
+
+
+def oracle_invert(w, ops):
+    """The inverse by one inv call per syllable, right to left."""
+    return [(FACTOR, i, ops.inv(i, v)) if k == FACTOR else (LETTER, i, -v)
+            for k, i, v in reversed(w)]
+
+
+@given(raw_words, st.sampled_from([None, 3, 17]))
+def test_invert_matches_the_per_syllable_loop(w, at):
+    """Same syllables and tag as one inv call per syllable, with one call per
+    distinct factor syllable, in first-seen order from the right."""
+    if at is not None:
+        w = reduced(w, at)
+    ops = CountingOps(5, 7)
+    got = invert(w, ops)
+    assert list(got) == oracle_invert(w, ModOps(5, 7))
+    assert type(got) is type(w)
+    assert getattr(got, "at", None) == at
+    distinct = list(dict.fromkeys((i, v) for k, i, v in reversed(w)
+                                  if k == FACTOR))
+    assert ops.inv_calls == distinct
 
 
 @given(norm_words, norm_words)
@@ -149,7 +190,7 @@ def test_normalize_merges_across_cancellation():
     merging happens only for what is adjacent at push time."""
     w = SyllableWord([(FACTOR, 0, 1), (LETTER, 0, 1), (LETTER, 0, -1),
                       (FACTOR, 0, 4)])
-    assert normalize(w, OPS) == EMPTY
+    assert normalize(w) == EMPTY
 
 
 def test_syllable_length_property():
