@@ -15,6 +15,11 @@ t^-1 a t (a in the associated subgroup A) and t b t^-1 (b in B), and the
 canonical form rewrites the base element after each stable letter to a fixed
 coset representative of A (after t^-1) or B (after t).
 
+A canonical form is a reduced form, so both carry the node's tag
+(words.Reduced) and are never validated again there.  Every product of tower
+words -- `mul_elem`, `mul_words`, `conjugate_word` -- splices reduced parts
+and pushes only at their junctions (`Node.splice`).
+
 Coset representatives are chosen by a structural word order (length, then
 lexicographic on syllable tuples) so they do not depend on registry insertion
 order.  Cyclic shared subgroups with an infinite-order generator are explored
@@ -258,7 +263,7 @@ class Node:
         return i == self.identity_elem()
 
     def mul_elem(self, a: int, b: int) -> int:
-        return self.intern(W.concat(self.elem_word(a), self.elem_word(b), self.ops))
+        return self.intern(self.mul_words(self.elem_word(a), self.elem_word(b)))
 
     def inv_elem(self, a: int) -> int:
         return self.intern(W.invert(self.elem_word(a), self.ops))
@@ -311,16 +316,15 @@ class Node:
         return self.canonical(u) == self.canonical(v)
 
     def mul_words(self, u, v) -> SyllableWord:
-        if self._holds(u) and self._holds(v):
-            return self.splice(u, EMPTY, v)
-        return self.reduce(W.concat(u, v, self.ops))
+        return self.splice(self.reduce(u), EMPTY, self.reduce(v))
 
     def invert_word(self, w) -> SyllableWord:
         return W.invert(w, self.ops)
 
     def conjugate_word(self, w, by) -> SyllableWord:
         """by^-1 . w . by, reduced."""
-        return self.reduce(W.conjugate(w, by, self.ops))
+        by = self.reduce(by)
+        return self.splice(self.invert_word(by), EMPTY, self.reduce(w), by)
 
     def parse(self, text: str) -> SyllableWord:
         w = W.parse_word(text)
@@ -533,7 +537,7 @@ class AmalgamNode(Node):
             # single shared syllables live on the left by convention
             if r and r[0][1] == 1 and self._shared.member(1, r[0][2]):
                 conv = self._shared.convert(1, r[0][2])
-                return SyllableWord([(FACTOR, 0, conv)])
+                return W.reduced([(FACTOR, 0, conv)], self.serial)
             return r
         syls = list(r)
         for i in range(len(syls) - 1, 0, -1):
@@ -548,7 +552,7 @@ class AmalgamNode(Node):
             # merged is neither trivial nor shared: its shared part would
             # push back into syls[i - 1], contradicting reducedness
             syls[i - 1] = (FACTOR, oside, merged)
-        return SyllableWord(syls)
+        return W.reduced(syls, self.serial)
 
     def order_of(self, w):
         core, _ = self.weakly_cyclic_reduce(w)
@@ -583,8 +587,8 @@ class AmalgamNode(Node):
             side = cur[0][1]
             merged = (FACTOR, side,
                       self.factors[side].mul_elem(cur[-1][2], cur[0][2]))
-            conj = W.concat(self.invert_word(SyllableWord(cur[:1])), conj,
-                            self.ops)
+            conj = self.mul_words(self.invert_word(SyllableWord(cur[:1])),
+                                  conj)
             cur = self.splice(cur[1:-1], (merged,))
         return cur, conj
 
@@ -714,7 +718,7 @@ class HnnNode(Node):
                     syls[p - 1] = (FACTOR, 0, merged)
             else:
                 syls.insert(p, (FACTOR, 0, cross))
-        return SyllableWord(syls)
+        return W.reduced(syls, self.serial)
 
     def cyclic_britton_reduce(self, w) -> SyllableWord:
         """A conjugate of w with minimal stable-letter count, reduced.  Each
@@ -828,8 +832,7 @@ def centralizer_conclusion_check(node: Node, x_word,
                     "torsion part lies in the shared subgroup; no factor "
                     "constraint applies"))
                 continue
-            moved = node.reduce(W.conjugate(
-                c, node.invert_word(te.conj), node.ops))
+            moved = node.conjugate_word(c, node.invert_word(te.conj))
             fits = len(moved) <= 1 and (not moved or moved[0][1] == te.side
                                         or node._shared.member(moved[0][1],
                                                                moved[0][2]))
@@ -1003,8 +1006,7 @@ def realize_iso_by_hnn(node: Node, a_elems, b_elems, a_hat, b_hat,
 
     lift2 = lambda e: n2.lift(n1.lift(e))
     for a in a_elems:
-        got = n2.reduce(W.conjugate(SyllableWord([(FACTOR, 0, lift2(a))]),
-                                    conj, n2.ops))
+        got = n2.conjugate_word(SyllableWord([(FACTOR, 0, lift2(a))]), conj)
         want = n2.elem_word(lift2(phi_map[a]))
         if n2.canonical(got) != n2.canonical(want):
             raise SchemeError("internal check failed: conjugator does not "
@@ -1026,7 +1028,7 @@ def make_conjugate(node: Node, u_word, v_word, *, window: int = 16):
         return node, EMPTY
     ext = HnnNode(node, CyclicAssoc(u, v, window), name=f"{node.name}+conj")
     t = ext.letter_word()
-    got = ext.reduce(W.conjugate(SyllableWord([(FACTOR, 0, u)]), t, ext.ops))
+    got = ext.conjugate_word(SyllableWord([(FACTOR, 0, u)]), t)
     if ext.canonical(got) != ext.canonical(SyllableWord([(FACTOR, 0, v)])):
         raise SchemeError("internal check failed: stable letter does not "
                           "conjugate u to v")

@@ -231,8 +231,11 @@ def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise GroupError("cyclic group needs n >= 1")
     _check_order(n, f"group z{n} of order {n}")
-    ar = np.arange(n, dtype=np.int32)
-    table = (ar[:, None] + ar[None, :]) % n
+    # row i is 0..n-1 rotated left by i, a window of one doubled range that
+    # each row starts one entry later in
+    doubled = np.arange(2 * n - 1, dtype=np.int32) % n
+    table = np.ndarray((n, n), np.int32, doubled,
+                       strides=doubled.strides * 2).copy()
     return FiniteGroup(table, name=f"z{n}", check=False)
 
 def _perm_compose(p, q):

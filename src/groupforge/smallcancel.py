@@ -146,15 +146,13 @@ class RelatorSystem:
         return got
 
     def _arrays_for(self, w):
-        """Doubled class-id lists, their int64 codes and the fingerprint
-        prefix sums for a nonempty cyclic word.  Each distinct syllable is
-        classified once."""
+        """The doubled int64 class codes and the fingerprint prefix sums for
+        a nonempty cyclic word.  Each distinct syllable is classified
+        once."""
         index: dict = {}
         at = [index.setdefault(syl, len(index)) for syl in w]
-        got = [self._class_of(syl) for syl in index]
-        lid, rid, did = ([col[i] for i in at] * 2
-                         for col in list(zip(*(g[0] for g in got)))[1:])
-        codes = np.array([g[1] for g in got], dtype=np.int64)
+        codes = np.array([self._class_of(syl)[1] for syl in index],
+                         dtype=np.int64)
         ecode, lcode, rcode, dcode = codes.T.take(at * 2, axis=1)
         # pref[k] = sum of ecode[j] * base^j over j < k, and inv[j] = base^-j,
         # so (pref[s + m] - pref[s]) * inv[s] fingerprints the m codes from s
@@ -163,9 +161,8 @@ class RelatorSystem:
             terms = ecode * _powers(base, mod, len(ecode)) % mod
             pref.append(np.concatenate([[0], np.cumsum(terms) % mod]))
             inv.append(_powers(pow(base, mod - 2, mod), mod, len(ecode)))
-        return {"eid": list(w) * 2, "lid": lid, "rid": rid, "did": did,
-                "lcode": lcode, "rcode": rcode, "dcode": dcode,
-                "pref": pref, "inv": inv, "n": len(w)}
+        return {"ecode": ecode, "lcode": lcode, "rcode": rcode,
+                "dcode": dcode, "pref": pref, "inv": inv, "n": len(w)}
 
     def _relator_arrays(self):
         if self._rel_arrays is None:
@@ -234,14 +231,17 @@ def _keys(arrays, L, at):
 
 
 def _verify_fuzzy(arr1, p, arr2, q, L):
-    """Exact check of a signature collision (guards against hash accidents)."""
+    """Exact check of a key hit (guards against fingerprint collisions).
+    Class codes are injective on class ids, so equal codes are equal
+    classes."""
     if L == 1:
-        return arr1["did"][p] == arr2["did"][q]
-    if arr1["lid"][p] != arr2["lid"][q]:
+        return arr1["dcode"][p] == arr2["dcode"][q]
+    if arr1["lcode"][p] != arr2["lcode"][q]:
         return False
-    if arr1["rid"][p + L - 1] != arr2["rid"][q + L - 1]:
+    if arr1["rcode"][p + L - 1] != arr2["rcode"][q + L - 1]:
         return False
-    return arr1["eid"][p + 1:p + L - 1] == arr2["eid"][q + 1:q + L - 1]
+    return np.array_equal(arr1["ecode"][p + 1:p + L - 1],
+                          arr2["ecode"][q + 1:q + L - 1])
 
 
 @dataclass

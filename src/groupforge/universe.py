@@ -38,7 +38,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
 
-from . import words as W
 from .amalgam import (AmalgamNode, BaseNode, ExplicitShared, HnnNode,
                       INFINITE, Node, SchemeError, make_conjugate)
 from .fingrp import FiniteGroup
@@ -117,8 +116,7 @@ class UGroup:
             if wi in addr:
                 inv[a1] = addr[wi]
             for w2, a2 in items:
-                # canonical reduces its input: no need to reduce the product
-                got = addr.get(node.canonical(W.concat(w1, w2, node.ops)))
+                got = addr.get(node.canonical(node.mul_words(w1, w2)))
                 if got is not None:
                     mul[(a1, a2)] = got
         return mul, inv
@@ -269,22 +267,12 @@ def _tracked_words(node: Node) -> list:
                 out[ci] = True
 
     add(EMPTY)
-    if isinstance(node, BaseNode):
-        for e in range(node.group.n):
-            add(node.elem_word(e))
-        return list(out)
-    if isinstance(node, AmalgamNode):
-        for side in (0, 1):
-            fac = node.factors[side]
-            count = fac.elem_count()
-            idxs = range(count) if count is not None else range(len(fac._rwords))
-            for e in idxs:
-                add(SyllableWord([(FACTOR, side, e)]))
-    elif isinstance(node, HnnNode):
-        count = node.base.elem_count()
-        idxs = range(count) if count is not None else range(len(node.base._rwords))
-        for e in idxs:
-            add(SyllableWord([(FACTOR, 0, e)]))
+    # a base node is its own one factor
+    for side, fac in enumerate(node.factors):
+        count = fac.elem_count()
+        for e in range(count if count is not None else len(fac._rwords)):
+            add(SyllableWord([(FACTOR, side, e)]))
+    if isinstance(node, HnnNode):
         add(node.letter_word())
     for w in list(node._rwords):
         add(w)
@@ -662,25 +650,22 @@ def poset_axiom_probe(family: list, *, samples: int = 20,
                 f"re-addressing {p.name} by {blockmap} left the class")
 
     # 8: amalgamation of compatible pairs over a boundary
-    standard = [g for g in family if g.standard]
+    standard = [i for i in range(n) if family[i].standard]
     # the witness over a block set is the family's standard member there,
     # or a fresh standard group when the family has none
     witness_cache: dict = {}
-    for g in standard:
-        witness_cache.setdefault((g.h, g.u), g)
-    r8_cache: dict = {}
+    for i in standard:
+        witness_cache.setdefault((family[i].h, family[i].u), family[i])
     attempts = 0
     while res[8].checked < samples and attempts < samples * 100:
         attempts += 1
         if len(standard) < 2:
             break
-        pi = rng.randrange(len(standard))
-        p = standard[pi]
-        q = standard[rng.randrange(len(standard))]
+        pi = standard[rng.randrange(len(standard))]
+        p = family[pi]
+        q = family[standard[rng.randrange(len(standard))]]
         alpha = rng.randrange(1, max(p.u | q.u) + 2)
-        if (pi, alpha) not in r8_cache:
-            r8_cache[(pi, alpha)] = restrict(p, alpha)
-        if not le(r8_cache[(pi, alpha)], q):
+        if not le(restricted(pi, alpha), q):
             continue
         if p.u & q.u != {b for b in p.u if b < alpha}:
             continue
@@ -784,7 +769,7 @@ def replay_simplicity(move: SimplicityMove, x_word, y_word) -> bool:
     node."""
     node = move.ugroup.node
     prod = _trace_product(node, y_word, move.trace)
-    return not node.reduce(node.mul_words(prod, node.invert_word(x_word)))
+    return not node.mul_words(prod, node.invert_word(x_word))
 
 
 def density_simplicity_step(g: UGroup, x_word, y_word, *,
@@ -799,8 +784,8 @@ def density_simplicity_step(g: UGroup, x_word, y_word, *,
     infinite-order product of two y-conjugates, and the previous cases run
     with it."""
     node = g.node
-    x = node.canonical(node.reduce(x_word))
-    y = node.canonical(node.reduce(y_word))
+    x = node.canonical(x_word)
+    y = node.canonical(y_word)
     if x not in g.addr or y not in g.addr:
         raise SchemeError("x and y must be tracked elements")
     if not x or not y:
@@ -894,7 +879,7 @@ def density_simplicity_step(g: UGroup, x_word, y_word, *,
                                            "y-product, then the finite-x split")
 
     prod = _trace_product(top, _lift(cur, top, y_c), trace)
-    if top.reduce(top.mul_words(prod, top.invert_word(_lift(cur, top, x_c)))):
+    if top.mul_words(prod, top.invert_word(_lift(cur, top, x_c))):
         raise SchemeError("conjugation trace failed to verify")
     out = UGroup(top, _extend_addr(g.addr, chain, g.addr[x].alpha), g.u,
                  name=f"{g.name}+t", h=g.h)

@@ -43,8 +43,8 @@ class Reduced(SyllableWord):
 
     `at` is that node's serial number.  Serials are never reused, so the tag
     names no other node and keeps no node alive.  Only a node's own
-    reductions make these words; `invert` keeps the tag, and every other
-    function here returns a plain SyllableWord.
+    reduced and canonical forms are made so; `invert` keeps the tag, and
+    every other function here returns a plain SyllableWord.
     """
 
 
@@ -81,7 +81,11 @@ def concat(w1, w2, ops: FactorOps) -> SyllableWord:
     syllables dropped and adjacent t t^-1 cancelled.  For a normalized w1
     the result is normalized, so `concat(EMPTY, w, ops)` normalizes w.
     Anything deeper (shared-subgroup membership, Britton pinches through a
-    base element) is the owning scheme's job."""
+    base element) is the owning scheme's job.
+
+    Tower nodes multiply by splicing reduced words (`Node.splice`), not
+    with this.  It serves the tests as their merge-normalization oracle and
+    the benchmark's tracer as a layer to count."""
     out = list(w1)
     for syl in w2:
         _push(out, syl, ops)
@@ -107,11 +111,6 @@ def invert(w, ops: FactorOps) -> SyllableWord:
     if type(w) is Reduced:
         return reduced(out, w.at)
     return SyllableWord(out)
-
-
-def conjugate(w, by, ops: FactorOps) -> SyllableWord:
-    """by^-1 . w . by, merge-normalized only."""
-    return concat(concat(invert(by, ops), w, ops), by, ops)
 
 
 # -- text form ---------------------------------------------------------------

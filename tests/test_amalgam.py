@@ -12,7 +12,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from groupforge import amalgam, fingrp
+from groupforge import amalgam, fingrp, universe
 from groupforge import words as W
 from groupforge.amalgam import (INFINITE, AmalgamNode, BaseNode, CyclicAssoc,
                                 CyclicShared, ExplicitAssoc, ExplicitShared,
@@ -330,6 +330,161 @@ def test_a_word_tagged_by_another_node_is_validated_again(monkeypatch):
                         lambda self, x: checked.append(self))
     assert twin.reduce(w) == w and checked == [twin]
     assert node.reduce(w) is w and checked == [twin]
+
+
+# -- one product path: tagged canonical forms, spliced products -----------------
+
+def density_tower():
+    """The top node of a finite-both density move over Z3 on blocks 0, 2 (a
+    stable letter over two fresh-factor amalgams over the standard group),
+    and the syllables of its tracked words."""
+    g = universe.standard_ugroup(fingrp.cyclic(3), [0, 2])
+    move = universe.density_simplicity_step(g, g.node.parse("f1:1"),
+                                            g.node.parse("f0:2"))
+    return move.ugroup.node, sorted({syl for w in move.ugroup.addr
+                                     for syl in w})
+
+
+def all_syllables(node):
+    return [(FACTOR, side, e) for side, fac in enumerate(node.factors)
+            for e in range(fac.elem_count())]
+
+
+DENSITY, DENSITY_SYLLABLES = density_tower()
+PRODUCT_TOWERS = {"amalgam": z6_pair(), "twisted": z6_pair(twist=True),
+                  "hnn": z6_hnn(), "hnn-twisted": z6_hnn_twisted(),
+                  "density": DENSITY}
+
+
+def tower_words(node, syllables, max_len=8):
+    """Raw words over the given factor syllables and the stable letter of
+    an HNN node.  The density tower draws only the syllables of its
+    tracked words: its base registry also holds the powers of the letter's
+    generator, whose coset scans reach the edge of their window."""
+    syls = [st.sampled_from(syllables)]
+    if isinstance(node, HnnNode):
+        syls.append(st.tuples(st.just(LETTER), st.just(node.letter),
+                              st.sampled_from([1, -1])))
+    return st.lists(st.one_of(syls), max_size=max_len).map(SyllableWord)
+
+
+TOWER_WORDS = {name: tower_words(node, DENSITY_SYLLABLES
+                                 if node is DENSITY else all_syllables(node))
+               for name, node in PRODUCT_TOWERS.items()}
+
+
+def concat_product(node, u, v):
+    """u . v as the library spelled it before splicing: merge-normalize,
+    then validate and push the whole word."""
+    return node.reduce(W.concat(u, v, node.ops))
+
+
+def concat_conjugate(node, w, by):
+    """by^-1 . w . by as the library spelled it before splicing: one merge
+    over both junctions, then the whole word pushed."""
+    return node.reduce(W.concat(W.concat(node.invert_word(by), w, node.ops),
+                                by, node.ops))
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_TOWERS))
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_canonical_forms_carry_the_tag_and_are_reduced(name, data):
+    node = PRODUCT_TOWERS[name]
+    c = node.canonical(data.draw(TOWER_WORDS[name]))
+    assert node._holds(c) and node.reduce(c) is c
+    assert node.reduce(SyllableWord(c)) == c
+    assert node.canonical(SyllableWord(c)) == c
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_TOWERS))
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_tagged_products_match_concat_then_reduce(name, data):
+    """For reduced and canonical operands the spliced product is the
+    concat-then-reduce word, syllable for syllable, and the spliced
+    conjugate is that product taken at each junction in turn.  It is the
+    same element as the one-merge spelling, of the same length."""
+    node = PRODUCT_TOWERS[name]
+    words = TOWER_WORDS[name]
+    u, v, by = (node.reduce(data.draw(words)) for _ in range(3))
+    c = node.canonical(data.draw(words))
+    for a, b in ((u, v), (c, v), (u, c), (c, c)):
+        got = node.mul_words(a, b)
+        assert got == concat_product(node, a, b)
+        assert node._holds(got)
+    for w, b in ((u, by), (c, by), (u, c), (c, u)):
+        got = node.conjugate_word(w, b)
+        assert got == concat_product(
+            node, concat_product(node, node.invert_word(b), w), b)
+        assert node._holds(got)
+        old = concat_conjugate(node, w, b)
+        assert len(got) == len(old)
+        assert node.canonical(got) == node.canonical(old)
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_TOWERS))
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_raw_products_have_the_concat_canonical_form(name, data):
+    """Raw operands are validated and reduced first; the product and the
+    conjugate are the elements the concat-built words are."""
+    node = PRODUCT_TOWERS[name]
+    words = TOWER_WORDS[name]
+    u, v = data.draw(words), data.draw(words)
+    assert (node.canonical(node.mul_words(u, v))
+            == node.canonical(W.concat(u, v, node.ops)))
+    assert (node.canonical(node.conjugate_word(u, v))
+            == node.canonical(concat_conjugate(node, u, v)))
+
+
+def test_conjugate_pulls_a_shared_junction_before_the_next_part():
+    """f0:5 conjugated by f0:1 f1:5 over Z6 * Z6 glued along the evens.  The
+    first junction f0:5 . f0:5 = f0:4 is shared, so it is pulled into f1:1
+    before f0:1 f1:5 is pushed.  One merge over both junctions makes
+    f0:5 . f0:5 . f0:1 = f0:5 first.  Both spell the same element."""
+    node = z6_pair()
+    w, by = node.parse("f0:5"), node.reduce(node.parse("f0:1 f1:5"))
+    got = node.conjugate_word(w, by)
+    assert got == node.parse("f1:5 f0:1 f1:5")
+    assert concat_conjugate(node, w, by) == node.parse("f1:1 f0:5 f1:5")
+    assert node.equal(got, concat_conjugate(node, w, by))
+
+
+def tower_registries(node):
+    """Every registry in the tower, in a fixed walk order."""
+    out, todo = [], [node]
+    while todo:
+        n = todo.pop()
+        out.append(list(n._rwords))
+        if n.kind != "base":
+            todo.extend(n.factors)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_TOWERS))
+def test_mul_elem_interns_what_concat_interned(name):
+    """The same sequence of products, by mul_elem and by interning the
+    concatenated registry words, gives the same indices and leaves every
+    registry of the tower identical, order included."""
+    spliced = copy.deepcopy(PRODUCT_TOWERS[name])
+    merged = copy.deepcopy(spliced)
+    syllables = (DENSITY_SYLLABLES if name == "density"
+                 else all_syllables(spliced))
+    for node in (spliced, merged):
+        for syl in syllables:
+            node.intern(SyllableWord([syl]))
+        if isinstance(node, HnnNode):
+            node.intern(node.letter_word())
+    rng = random.Random(5)
+    for _ in range(150):
+        size = len(spliced._rwords)
+        a, b = rng.randrange(size), rng.randrange(size)
+        want = merged.intern(W.concat(merged.elem_word(a),
+                                      merged.elem_word(b), merged.ops))
+        assert spliced.mul_elem(a, b) == want
+    assert len(spliced._rwords) > 30
+    assert tower_registries(spliced) == tower_registries(merged)
 
 
 def test_letter_has_infinite_order():

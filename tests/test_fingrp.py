@@ -65,6 +65,18 @@ def test_aut_group_is_a_group():
     assert emb.check() and len(set(emb.img)) == emb.src.n == 6
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 30, 5040])
+def test_cyclic_table_is_the_sum_mod_n(n):
+    """The rotated-window table equals the modular sum table in value,
+    dtype and contiguity."""
+    ar = np.arange(n, dtype=np.int32)
+    want = (ar[:, None] + ar) % n
+    got = cyclic(n).table
+    assert got.dtype == want.dtype == np.int32
+    assert np.array_equal(got, want)
+    assert got.flags.c_contiguous
+
+
 def test_cyclic_hom_count_matches_gcd():
     """The number of maps Z/m -> Z/n is gcd(m, n)."""
     for m in range(1, 8):

@@ -73,9 +73,10 @@ def tau_system(n1, n2, n):
 def oracle_signature(arr, p, L):
     """The span signature the matcher's int64 keys stand for, spelled out."""
     if L == 1:
-        return ("d", arr["did"][p])
-    return (arr["lid"][p], tuple(arr["eid"][p + 1:p + L - 1]), L,
-            arr["rid"][p + L - 1])
+        return ("d", int(arr["dcode"][p]))
+    return (int(arr["lcode"][p]),
+            tuple(arr["ecode"][p + 1:p + L - 1].tolist()), L,
+            int(arr["rcode"][p + L - 1]))
 
 
 def longest(probe, hi):
@@ -334,8 +335,6 @@ def oracle_arrays(system, w):
     """`_arrays_for` by one class lookup per syllable and Python-int
     fingerprint sums."""
     got = [system._class_of(syl) for syl in w]
-    eid, lid, rid, did = (list(ids) * 2
-                          for ids in zip(*(g[0] for g in got)))
     ecode, lcode, rcode, dcode = (list(codes) * 2
                                   for codes in zip(*(g[1] for g in got)))
     pref, inv = [], []
@@ -345,8 +344,7 @@ def oracle_arrays(system, w):
             sums.append((sums[-1] + c * pow(base, j, mod)) % mod)
         pref.append(sums)
         inv.append([pow(base, -j, mod) for j in range(len(ecode))])
-    return {"eid": eid, "lid": lid, "rid": rid, "did": did,
-            "lcode": lcode, "rcode": rcode, "dcode": dcode,
+    return {"ecode": ecode, "lcode": lcode, "rcode": rcode, "dcode": dcode,
             "pref": pref, "inv": inv, "n": len(w)}
 
 
@@ -374,7 +372,42 @@ def test_arrays_for_matches_the_per_syllable_oracle(name):
     assert system._codes == fresh._codes
     if name == "s3-over-z2":
         arr = system._relator_arrays()[0]
-        assert arr["lid"] != arr["rid"] and arr["lid"] != arr["eid"]
+        assert not np.array_equal(arr["lcode"], arr["rcode"])
+        assert not np.array_equal(arr["lcode"], arr["ecode"])
+
+
+def oracle_verify(system, w1, p, w2, q, L):
+    """The span comparison `_verify_fuzzy` stands for, on class ids: the
+    double class of a single syllable, else the left class, the exact
+    interior and the right class."""
+    def ids(w, i):
+        return system._class_of(w[i % len(w)])[0]
+
+    if L == 1:
+        return ids(w1, p)[3] == ids(w2, q)[3]
+    return (ids(w1, p)[1] == ids(w2, q)[1]
+            and ids(w1, p + L - 1)[2] == ids(w2, q + L - 1)[2]
+            and all(ids(w1, p + k)[0] == ids(w2, q + k)[0]
+                    for k in range(1, L - 1)))
+
+
+@pytest.mark.parametrize("name", sorted(PIECE_SYSTEMS))
+def test_verify_fuzzy_compares_the_class_ids(name):
+    """Comparing class codes is comparing class ids, on every pair of
+    relator spans up to length 4, both verdicts included."""
+    system = PIECE_SYSTEMS[name]()
+    rels = system.cyclic_relators
+    arrays = system._relator_arrays()
+    seen = set()
+    for (w1, a1), (w2, a2) in [(x, y) for x in zip(rels, arrays)
+                               for y in zip(rels, arrays)]:
+        for L in range(1, 5):
+            for p in range(len(w1)):
+                for q in range(len(w2)):
+                    got = bool(_verify_fuzzy(a1, p, a2, q, L))
+                    assert got == oracle_verify(system, w1, p, w2, q, L)
+                    seen.add(got)
+    assert seen == {True, False}
 
 
 def oracle_class_ids(system, syl):

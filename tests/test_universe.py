@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from groupforge import fingrp, universe
-from groupforge.amalgam import BaseNode, SchemeError
+from groupforge import words as W
+from groupforge.amalgam import (AmalgamNode, BaseNode, ExplicitAssoc,
+                                HnnNode, SchemeError)
 from groupforge.universe import (Address, Code, CodeRegistry, UGroup,
                                  assign_addresses, block_filter, check_ugroup,
                                  density_domain_step, density_simplicity_step,
@@ -21,7 +23,7 @@ from groupforge.universe import (Address, Code, CodeRegistry, UGroup,
                                  poset_axiom_probe,
                                  replay_simplicity, restrict, same_ugroup,
                                  standard_family, standard_ugroup)
-from groupforge.words import EMPTY
+from groupforge.words import EMPTY, FACTOR, SyllableWord
 
 Z3 = fingrp.cyclic(3)
 Z2 = fingrp.cyclic(2)
@@ -502,6 +504,88 @@ def test_derived_tables_of_a_density_move_equal_a_fresh_build():
     for d in derived_groups(final):
         assert d._built_tables() == oracle_tables(d)
     assert final._built_tables() == oracle_tables(final)
+
+
+def concat_tables(g):
+    """The partial tables as they were multiplied before products spliced:
+    the canonical form of each merged word pair, in the same entry order."""
+    node, mul, inv = g.node, {}, {}
+    items = list(g.addr.items())
+    for w1, a1 in items:
+        wi = node.canonical(node.invert_word(w1))
+        if wi in g.addr:
+            inv[a1] = g.addr[wi]
+        for w2, a2 in items:
+            got = g.addr.get(node.canonical(W.concat(w1, w2, node.ops)))
+            if got is not None:
+                mul[(a1, a2)] = got
+    return mul, inv
+
+
+def test_multiplied_tables_equal_the_concat_built_ones():
+    """Entry for entry and in dict order, on standard groups, tracked words
+    with products of two syllables and more, and a density move's stable
+    letter tower."""
+    groups = [standard_ugroup(h, blocks) for h, blocks in
+              ((Z3, [0, 1, 3]), (S3, [0, 2]), (A4, [0, 1]))]
+    groups += [tracked_ugroup(Z3, [0, 1], ["f0:1 f1:1", "f1:2 f0:1 f1:1"]),
+               tracked_ugroup(S3, [0, 1], ["f0:1 f1:3"]),
+               density_output()]
+    for g in groups:
+        got, want = g._multiplied_tables(), concat_tables(g)
+        assert got == want
+        assert [list(t) for t in got] == [list(t) for t in want]
+    assert any(len(w) > 1 for g in groups for w in g.addr)
+
+
+def per_kind_tracked_words(node):
+    """`_tracked_words` as one branch per node kind: a base node's elements,
+    an amalgam's two factors, an HNN base and then its letter, and then the
+    registry, each with its inverse."""
+    out = {}
+
+    def add(w):
+        c = node.canonical(w)
+        if c not in out:
+            out[c] = True
+            ci = node.canonical(node.invert_word(c))
+            if ci not in out:
+                out[ci] = True
+
+    add(EMPTY)
+    if isinstance(node, BaseNode):
+        for e in range(node.group.n):
+            add(node.elem_word(e))
+        return list(out)
+    if isinstance(node, AmalgamNode):
+        for side in (0, 1):
+            fac = node.factors[side]
+            count = fac.elem_count()
+            for e in range(count if count is not None else len(fac._rwords)):
+                add(SyllableWord([(FACTOR, side, e)]))
+    elif isinstance(node, HnnNode):
+        count = node.base.elem_count()
+        for e in range(count if count is not None
+                       else len(node.base._rwords)):
+            add(SyllableWord([(FACTOR, 0, e)]))
+        add(node.letter_word())
+    for w in list(node._rwords):
+        add(w)
+    return list(out)
+
+
+def test_tracked_words_match_the_per_kind_oracle():
+    """One loop over the factors gives the per-kind lists, order included,
+    on a base node, an amalgam, a fresh HNN node whose registry lacks its
+    letter, and a density move's tower over an infinite base."""
+    fresh_hnn = HnnNode(BaseNode(fingrp.cyclic(6)),
+                        ExplicitAssoc([0, 3], [0, 3]))
+    assert fresh_hnn.letter_word() not in fresh_hnn._rwords
+    for node in (BaseNode(S3), standard_ugroup(Z3, [0, 1]).node, fresh_hnn,
+                 density_output().node):
+        want = per_kind_tracked_words(node)
+        assert universe._tracked_words(node) == want
+    assert fresh_hnn.letter_word() in universe._tracked_words(fresh_hnn)
 
 
 def random_placement(h, rng):

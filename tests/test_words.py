@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from groupforge.words import (EMPTY, FACTOR, LETTER, SyllableWord, concat,
-                              conjugate, format_word, invert, parse_word,
-                              reduced)
+                              format_word, invert, parse_word, reduced)
 
 
 class ModOps:
@@ -133,12 +132,6 @@ def test_invert_antihomomorphism(a, b):
     lhs = invert(concat(a, b, OPS), OPS)
     rhs = concat(invert(b, OPS), invert(a, OPS), OPS)
     assert lhs == rhs
-
-
-@given(norm_words, norm_words)
-def test_conjugate_matches_definition(w, by):
-    expect = concat(concat(invert(by, OPS), w, OPS), by, OPS)
-    assert conjugate(w, by, OPS) == expect
 
 
 @given(raw_words)
