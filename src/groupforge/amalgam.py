@@ -6,6 +6,14 @@ canonical form of every element it has seen, so element equality at a node is
 integer equality of registry indices, and factor elements of a compound node
 are exactly the registry indices of that factor.
 
+Both compound kinds glue along a bound pairing of two finite families of
+factor elements, and one pairing spec serves both: `ExplicitShared` lists the
+pairs, `CyclicShared` pairs the powers of two generators.  An amalgam pairs
+its left factor's elements with its right factor's; an HNN letter pairs A (on
+the left) with B (on the right), t^-1 a t = b.  Lifting a factor element and
+carrying the distinguished copies up a node are defined once, on `Node`, and
+each node kind answers `cyclic_core`, the conjugate relator systems match.
+
 Normal forms follow the usual coset-transversal scheme.  A reduced word in an
 amalgamated product has no syllable in the shared subgroup (once it is longer
 than one syllable) and strictly alternates factors; the canonical form then
@@ -34,8 +42,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -80,7 +88,7 @@ class _FactorOps:
         return self.factors[f].is_identity_elem(a)
 
 
-# -- shared-subgroup specifications -------------------------------------------
+# -- pairing specifications (either node kind) -----------------------------------
 
 @dataclass
 class ExplicitShared:
@@ -93,18 +101,6 @@ class CyclicShared:
     """Identify the cyclic subgroups generated on each side."""
     left_gen: int
     right_gen: int
-    window: int = 16
-
-@dataclass
-class ExplicitAssoc:
-    """Parallel lists for the two associated subgroups of an HNN letter."""
-    a: list
-    b: list
-
-@dataclass
-class CyclicAssoc:
-    a_gen: int
-    b_gen: int
     window: int = 16
 
 
@@ -162,9 +158,8 @@ def _check_elems(what: str, node: "Node", elems):
 
 
 def _bind_pairs(spec, side0: "Node", side1: "Node", what: str) -> _BoundPairs:
-    if isinstance(spec, (ExplicitShared, ExplicitAssoc)):
-        left = list(spec.left if isinstance(spec, ExplicitShared) else spec.a)
-        right = list(spec.right if isinstance(spec, ExplicitShared) else spec.b)
+    if isinstance(spec, ExplicitShared):
+        left, right = list(spec.left), list(spec.right)
         _check_elems(what, side0, left)
         _check_elems(what, side1, right)
         if len(left) != len(right):
@@ -184,9 +179,8 @@ def _bind_pairs(spec, side0: "Node", side1: "Node", what: str) -> _BoundPairs:
                     raise SchemeError(
                         f"{what}: pairing is not a homomorphism")
         return _BoundPairs(list(zip(left, right)))
-    if isinstance(spec, (CyclicShared, CyclicAssoc)):
-        g0 = spec.left_gen if isinstance(spec, CyclicShared) else spec.a_gen
-        g1 = spec.right_gen if isinstance(spec, CyclicShared) else spec.b_gen
+    if isinstance(spec, CyclicShared):
+        g0, g1 = spec.left_gen, spec.right_gen
         _check_elems(what, side0, [g0])
         _check_elems(what, side1, [g1])
         w = spec.window
@@ -271,6 +265,10 @@ class Node:
     def elem_order(self, i: int):
         return self.order_of(self.elem_word(i))
 
+    def lift(self, side: int, elem: int) -> int:
+        """Element `elem` of the factor on `side`, at this node."""
+        return self.intern(SyllableWord([(FACTOR, side, elem)]))
+
     # words
 
     @property
@@ -309,6 +307,10 @@ class Node:
     def canonical(self, w) -> SyllableWord:
         raise NotImplementedError
 
+    def cyclic_core(self, w) -> SyllableWord:
+        """A reduced conjugate of w that no cyclic permutation shortens."""
+        return self.reduce(w)
+
     def order_of(self, w):
         raise NotImplementedError
 
@@ -337,8 +339,22 @@ class Node:
     def validate_word(self, w):
         raise NotImplementedError
 
-    # coset representatives (compound nodes set _bound, _coset_factors and
-    # _edge_what)
+    # compound nodes: a bound pairing and coset representatives (they also
+    # set _edge_what)
+
+    def _bind(self, spec, side0: "Node", side1: "Node", what: str):
+        """Bind the pairing spec between elements of side0 (its left) and
+        side1 (its right), and carry the first factor's distinguished
+        copies up to this node."""
+        self._bound = _bind_pairs(spec, side0, side1, f"{self.name} {what}")
+        self._coset_factors = (side0, side1)
+        for side, src in enumerate(self.factors):
+            if src.h_group is not None:
+                self.h_group = src.h_group
+                self.distinguished = {
+                    k: [self.lift(side, e) for e in v]
+                    for k, v in src.distinguished.items()}
+                return
 
     def _least(self, side, candidates, edge_error: str):
         """The structurally least of the (element, at_window_edge, ...)
@@ -458,26 +474,12 @@ class AmalgamNode(Node):
         self.left = left
         self.right = right
         self._ops = _FactorOps((left, right))
-        self._shared = _bind_pairs(shared, left, right, f"{self.name} shared subgroup")
-        self._bound = self._shared
-        self._coset_factors = (left, right)
-        self._adopt_distinguished()
-
-    def _adopt_distinguished(self):
-        for side, src in ((0, self.left), (1, self.right)):
-            if src.h_group is not None:
-                self.h_group = src.h_group
-                self.distinguished = {
-                    k: [self.lift(side, e) for e in v]
-                    for k, v in src.distinguished.items()}
-                return
+        self._bind(shared, left, right, "shared subgroup")
+        self._shared = self._bound  # the name the benchmark reads
 
     @property
     def factors(self):
         return (self.left, self.right)
-
-    def lift(self, side: int, elem: int) -> int:
-        return self.intern(SyllableWord([(FACTOR, side, elem)]))
 
     def validate_word(self, w):
         for syl in w:
@@ -516,16 +518,16 @@ class AmalgamNode(Node):
                 prev = out.pop()
                 syl = (FACTOR, side, fac.mul_elem(prev[2], elem))
                 continue
-            if out and self._shared.member(out[-1][1], out[-1][2]):
+            if out and self._bound.member(out[-1][1], out[-1][2]):
                 # pull a stranded shared syllable over to this side
                 prev = out.pop()
-                conv = self._shared.convert(prev[1], prev[2])
+                conv = self._bound.convert(prev[1], prev[2])
                 syl = (FACTOR, side, fac.mul_elem(conv, elem))
                 continue
-            if out and self._shared.member(side, elem):
+            if out and self._bound.member(side, elem):
                 prev = out.pop()
                 oside = prev[1]
-                conv = self._shared.convert(side, elem)
+                conv = self._bound.convert(side, elem)
                 syl = (FACTOR, oside, self.factors[oside].mul_elem(prev[2], conv))
                 continue
             out.append(syl)
@@ -535,8 +537,8 @@ class AmalgamNode(Node):
         r = self.reduce(w)
         if len(r) <= 1:
             # single shared syllables live on the left by convention
-            if r and r[0][1] == 1 and self._shared.member(1, r[0][2]):
-                conv = self._shared.convert(1, r[0][2])
+            if r and r[0][1] == 1 and self._bound.member(1, r[0][2]):
+                conv = self._bound.convert(1, r[0][2])
                 return W.reduced([(FACTOR, 0, conv)], self.serial)
             return r
         syls = list(r)
@@ -546,7 +548,7 @@ class AmalgamNode(Node):
             if self.factors[side].is_identity_elem(carry):
                 continue
             syls[i] = (FACTOR, side, rep)
-            conv = self._shared.convert(side, carry)
+            conv = self._bound.convert(side, carry)
             oside = 1 - side
             merged = self.factors[oside].mul_elem(syls[i - 1][2], conv)
             # merged is neither trivial nor shared: its shared part would
@@ -571,10 +573,13 @@ class AmalgamNode(Node):
         side = r[0][1]
         fac = self.factors[side]
         prod = fac.mul_elem(r[-1][2], r[0][2])
-        return fac.is_identity_elem(prod) or self._shared.member(side, prod)
+        return fac.is_identity_elem(prod) or self._bound.member(side, prod)
 
     def is_weakly_cyclically_reduced(self, w) -> bool:
         return not self._ends_merge(self.reduce(w))
+
+    def cyclic_core(self, w) -> SyllableWord:
+        return self.weakly_cyclic_reduce(w)[0]
 
     def weakly_cyclic_reduce(self, w):
         """Return (core, conj) with w = conj^-1 . core . conj and core
@@ -604,22 +609,11 @@ class HnnNode(Node):
         self.base = base
         self.letter = fresh_letter()
         self._ops = _FactorOps((base,))
-        self._assoc = _bind_pairs(assoc, base, base,
-                                  f"{self.name} associated subgroups")
-        self._bound = self._assoc
-        self._coset_factors = (base, base)
-        if base.h_group is not None:
-            self.h_group = base.h_group
-            self.distinguished = {
-                k: [self.lift(e) for e in v]
-                for k, v in base.distinguished.items()}
+        self._bind(assoc, base, base, "associated subgroups")
 
     @property
     def factors(self):
         return (self.base,)
-
-    def lift(self, elem: int) -> int:
-        return self.intern(SyllableWord([(FACTOR, 0, elem)]))
 
     def letter_word(self) -> SyllableWord:
         return SyllableWord([(LETTER, self.letter, 1)])
@@ -635,7 +629,7 @@ class HnnNode(Node):
                 raise SchemeError(
                     f"{self.name}: bad base syllable {W.format_word([syl])}")
 
-    # side 0 of the assoc pairing is A (rewritten after t^-1),
+    # side 0 of the bound pairing is A (rewritten after t^-1),
     # side 1 is B (rewritten after t)
 
     def reduce(self, w) -> SyllableWord:
@@ -672,10 +666,10 @@ class HnnNode(Node):
             if (len(out) >= 2 and out[-1][0] == FACTOR
                     and out[-2][0] == LETTER and out[-2][2] == -sign):
                 side = 0 if sign == 1 else 1  # t^-1 a t needs a in A
-                if self._assoc.member(side, out[-1][2]):
+                if self._bound.member(side, out[-1][2]):
                     elem = out.pop()[2]
                     out.pop()
-                    syl = (FACTOR, 0, self._assoc.convert(side, elem))
+                    syl = (FACTOR, 0, self._bound.convert(side, elem))
                     continue
             out.append(syl)
             return syl is came
@@ -706,7 +700,7 @@ class HnnNode(Node):
                     syls[gpos] = (FACTOR, 0, rep)
             elif not base.is_identity_elem(rep):
                 syls.insert(p + 1, (FACTOR, 0, rep))
-            cross = self._assoc.convert(side, carry)
+            cross = self._bound.convert(side, carry)
             if p - 1 >= 0 and syls[p - 1][0] == FACTOR:
                 merged = base.mul_elem(syls[p - 1][2], cross)
                 if base.is_identity_elem(merged):
@@ -720,10 +714,10 @@ class HnnNode(Node):
                 syls.insert(p, (FACTOR, 0, cross))
         return W.reduced(syls, self.serial)
 
-    def cyclic_britton_reduce(self, w) -> SyllableWord:
-        """A conjugate of w with minimal stable-letter count, reduced.  Each
-        rotation pushes the first syllable onto the rest, a contiguous part
-        of the reduced word."""
+    def cyclic_core(self, w) -> SyllableWord:
+        """A conjugate of w with minimal stable-letter count, reduced (cyclic
+        Britton reduction).  Each rotation pushes the first syllable onto
+        the rest, a contiguous part of the reduced word."""
         cur = self.reduce(w)
         while True:
             letters = [p for p, s in enumerate(cur) if s[0] == LETTER]
@@ -741,17 +735,23 @@ class HnnNode(Node):
                 else:
                     tail = self.base.identity_elem()
                 side = 0 if e_last == -1 else 1
-                if self.base.is_identity_elem(tail) or self._assoc.member(side, tail):
+                if self.base.is_identity_elem(tail) or self._bound.member(side, tail):
                     # wrap-around pinch: rotate the first letter to the end
                     cur = self.splice(cur[1:], cur[:1])
                     continue
             return cur
 
     def order_of(self, w):
-        cur = self.cyclic_britton_reduce(w)
+        cur = self.cyclic_core(w)
         if any(s[0] == LETTER for s in cur):
             return INFINITE
         return self.base.elem_order(self.base.intern(cur))
+
+
+def shared_pairing(node: Node) -> Optional[_BoundPairs]:
+    """An amalgam's shared-subgroup pairing, up to which its syllables
+    compare; None at any other node, whose syllables compare exactly."""
+    return node._bound if isinstance(node, AmalgamNode) else None
 
 
 # -- operations on towers -------------------------------------------------------
@@ -826,7 +826,7 @@ def centralizer_conclusion_check(node: Node, x_word,
                                             "identity centralizes everything"))
             continue
         if x_class == "torsion" and te is not None and te.side is not None:
-            if node._shared.member(te.side, te.elem):
+            if node._bound.member(te.side, te.elem):
                 entries.append(CentralizerEntry(
                     node.format(c), True, True,
                     "torsion part lies in the shared subgroup; no factor "
@@ -834,8 +834,8 @@ def centralizer_conclusion_check(node: Node, x_word,
                 continue
             moved = node.conjugate_word(c, node.invert_word(te.conj))
             fits = len(moved) <= 1 and (not moved or moved[0][1] == te.side
-                                        or node._shared.member(moved[0][1],
-                                                               moved[0][2]))
+                                        or node._bound.member(moved[0][1],
+                                                              moved[0][2]))
             if not fits:
                 ok = False
             entries.append(CentralizerEntry(
@@ -994,17 +994,17 @@ def realize_iso_by_hnn(node: Node, a_elems, b_elems, a_hat, b_hat,
         raise SchemeError("no element of the distinguished overgroup induces "
                           "the required twist; is the tracked copy suitable?")
 
-    n1 = HnnNode(node, ExplicitAssoc(list(hat_elems),
-                                     [f1map[e] for e in hat_elems]),
+    n1 = HnnNode(node, ExplicitShared(list(hat_elems),
+                                      [f1map[e] for e in hat_elems]),
                  name=node.name + "+iso1")
-    n2 = HnnNode(n1, ExplicitAssoc([n1.lift(e) for e in hat_elems],
-                                   [n1.lift(f2map[e]) for e in hat_elems]),
+    n2 = HnnNode(n1, ExplicitShared([n1.lift(0, e) for e in hat_elems],
+                                    [n1.lift(0, f2map[e]) for e in hat_elems]),
                  name=node.name + "+iso2")
 
     u = n1.intern(SyllableWord([(LETTER, n1.letter, -1), (FACTOR, 0, g)]))
     conj = SyllableWord([(FACTOR, 0, u), (LETTER, n2.letter, 1)])
 
-    lift2 = lambda e: n2.lift(n1.lift(e))
+    lift2 = lambda e: n2.lift(0, n1.lift(0, e))
     for a in a_elems:
         got = n2.conjugate_word(SyllableWord([(FACTOR, 0, lift2(a))]), conj)
         want = n2.elem_word(lift2(phi_map[a]))
@@ -1026,7 +1026,7 @@ def make_conjugate(node: Node, u_word, v_word, *, window: int = 16):
     v = node.intern(v_word)
     if node.is_identity_elem(u):
         return node, EMPTY
-    ext = HnnNode(node, CyclicAssoc(u, v, window), name=f"{node.name}+conj")
+    ext = HnnNode(node, CyclicShared(u, v, window), name=f"{node.name}+conj")
     t = ext.letter_word()
     got = ext.conjugate_word(SyllableWord([(FACTOR, 0, u)]), t)
     if ext.canonical(got) != ext.canonical(SyllableWord([(FACTOR, 0, v)])):
@@ -1096,7 +1096,7 @@ def adjoin_socle_witness(node: Node, w, *, window: int = 16):
     # cyclic group; a = x1 x2 with both x1, x2 of infinite order
     zn = BaseNode(fingrp.cyclic(n), name=f"{node.name}.aux-zn")
     tr = BaseNode(fingrp.trivial(), name=f"{node.name}.aux-triv")
-    zfree = HnnNode(tr, ExplicitAssoc([tr.identity_elem()], [tr.identity_elem()]),
+    zfree = HnnNode(tr, ExplicitShared([tr.identity_elem()], [tr.identity_elem()]),
                     name=f"{node.name}.aux-z")
     aux = AmalgamNode(zn, zfree,
                       ExplicitShared([zn.identity_elem()], [zfree.identity_elem()]),
@@ -1153,7 +1153,6 @@ def parse_scheme_text(text: str, base_dir: str = ".", *,
       hnn <name> <base> cyclic <agen>:<bgen> [window]
       target <name>
     """
-    import os
     groups: dict = {}
     nodes: dict = {}
     target = None
@@ -1164,32 +1163,31 @@ def parse_scheme_text(text: str, base_dir: str = ".", *,
             raise SchemeError(f"unknown tower node {nm!r}")
         return nodes[nm]
 
-    def pairs_of(tokens):
-        out = ([], [])
-        for tok in tokens:
-            if "=" not in tok:
-                raise SchemeError(f"expected <int>=<int>, got {tok!r}")
-            l, _, r = tok.partition("=")
-            out[0].append(int(l))
-            out[1].append(int(r))
-        if not out[0]:
-            raise SchemeError("element pairing is empty")
-        return out
+    def pairing_of(kind, explicit, toks):
+        """The spec of a `<explicit> <l>=<r> ...` or `cyclic <l>:<r>
+        [window]` tail; either node kind takes it."""
+        if toks[0] == explicit:
+            pairs = []
+            for tok in toks[1:]:
+                if "=" not in tok:
+                    raise SchemeError(f"expected <int>=<int>, got {tok!r}")
+                l, _, r = tok.partition("=")
+                pairs.append((int(l), int(r)))
+            return ExplicitShared([l for l, _ in pairs], [r for _, r in pairs])
+        if toks[0] == "cyclic":
+            lg, _, rg = toks[1].partition(":")
+            window = [int(t) for t in toks[2:3]]
+            return CyclicShared(int(lg), int(rg), *window)
+        raise SchemeError(f"{kind} mode must be '{explicit}' or 'cyclic'")
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in fingrp._content_lines(text):
         toks = line.split()
         kind = toks[0]
         try:
             if kind == "group":
                 if len(toks) < 3:
                     raise SchemeError("group needs a name and a source")
-                spec = " ".join(toks[2:])
-                cand = os.path.join(base_dir, spec)
-                groups[toks[1]] = fingrp.named_group(
-                    cand if os.path.exists(cand) else spec)
+                groups[toks[1]] = fingrp.group_at(" ".join(toks[2:]), base_dir)
             elif kind in ("base", "hat"):
                 if len(toks) != 3:
                     raise SchemeError(f"{kind} needs a name and a group")
@@ -1206,33 +1204,14 @@ def parse_scheme_text(text: str, base_dir: str = ".", *,
                     raise SchemeError("malformed amalgam directive")
                 left = node_of(toks[2])
                 right = node_of(toks[3])
-                mode = toks[4]
-                if mode == "shared":
-                    l, r = pairs_of(toks[5:])
-                    shared = ExplicitShared(l, r)
-                elif mode == "cyclic":
-                    lg, _, rg = toks[5].partition(":")
-                    window = int(toks[6]) if len(toks) > 6 else 16
-                    shared = CyclicShared(int(lg), int(rg), window)
-                else:
-                    raise SchemeError("amalgam mode must be 'shared' or "
-                                      "'cyclic'")
+                shared = pairing_of(kind, "shared", toks[4:])
                 nodes[toks[1]] = AmalgamNode(left, right, shared, name=toks[1])
                 last = nodes[toks[1]]
             elif kind == "hnn":
                 if len(toks) < 5:
                     raise SchemeError("malformed hnn directive")
                 base = node_of(toks[2])
-                mode = toks[3]
-                if mode == "assoc":
-                    a, b = pairs_of(toks[4:])
-                    assoc = ExplicitAssoc(a, b)
-                elif mode == "cyclic":
-                    ag, _, bg = toks[4].partition(":")
-                    window = int(toks[5]) if len(toks) > 5 else 16
-                    assoc = CyclicAssoc(int(ag), int(bg), window)
-                else:
-                    raise SchemeError("hnn mode must be 'assoc' or 'cyclic'")
+                assoc = pairing_of(kind, "assoc", toks[3:])
                 nodes[toks[1]] = HnnNode(base, assoc, name=toks[1])
                 last = nodes[toks[1]]
             elif kind == "target":

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -57,6 +57,14 @@ def _bool(v) -> str:
     return "true" if v else "false"
 
 
+def _verdict(lines, ok, witnesses):
+    """A verdict report: exit 0 when ok, else the witness lines follow and
+    the exit is 1.  `witnesses` is read only when the verdict is false."""
+    if ok:
+        return lines, EXIT_OK
+    return lines + list(witnesses), EXIT_FALSE
+
+
 def _blocks(text: str):
     try:
         out = sorted({int(p) for p in text.split(",") if p.strip() != ""})
@@ -93,33 +101,26 @@ def parse_hom_text(text: str, base_dir: str = ".") -> fingrp.GroupHom:
         dst <group-spec-or-path>
         map <img0> <img1> ...        (one image per source element)
     """
-    src = dst = None
+    ends = {}
     images: list = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in fingrp._content_lines(text):
         toks = line.split()
-        if toks[0] == "hom":
-            continue
-        if toks[0] in ("src", "dst"):
-            if len(toks) < 2:
-                raise GroupError(f"line {lineno}: {toks[0]} needs a group")
-            spec = " ".join(toks[1:])
-            cand = os.path.join(base_dir, spec)
-            grp = fingrp.named_group(cand if os.path.exists(cand) else spec)
-            if toks[0] == "src":
-                src = grp
-            else:
-                dst = grp
-        elif toks[0] == "map":
-            try:
-                images.extend(int(v) for v in toks[1:])
-            except ValueError:
-                raise GroupError(f"line {lineno}: map entries must be "
-                                 f"element indices")
-        else:
-            raise GroupError(f"line {lineno}: unknown directive {toks[0]!r}")
+        try:
+            if toks[0] in ("src", "dst"):
+                if len(toks) < 2:
+                    raise GroupError(f"{toks[0]} needs a group")
+                ends[toks[0]] = fingrp.group_at(" ".join(toks[1:]), base_dir)
+            elif toks[0] == "map":
+                try:
+                    images.extend(int(v) for v in toks[1:])
+                except ValueError:
+                    raise GroupError("map entries must be element indices")
+            elif toks[0] != "hom":
+                raise GroupError(f"unknown directive {toks[0]!r}")
+        except GroupError as exc:
+            exc.args = (f"line {lineno}: {exc}",)
+            raise
+    src, dst = ends.get("src"), ends.get("dst")
     if src is None or dst is None:
         raise GroupError("hom file needs src and dst lines")
     if len(images) != src.n:
@@ -162,10 +163,7 @@ def _cmd_group_suitable(args, s):
              f"extends-inner: {_bool(r.extends_inner)}",
              f"aut-order: {r.aut_order}",
              f"suitable: {_bool(r.ok)}"]
-    if not r.ok:
-        lines.append(f"witness: {r.witness}")
-        return lines, EXIT_FALSE
-    return lines, EXIT_OK
+    return _verdict(lines, r.ok, [f"witness: {r.witness}"])
 
 
 def _cmd_group_complete(args, s):
@@ -173,14 +171,13 @@ def _cmd_group_complete(args, s):
     r = fingrp.is_complete(g, budget=s.budget)
     lines = [f"group: {r.group}", f"center-order: {r.center_order}",
              f"aut-order: {r.aut_order}", f"complete: {_bool(r.ok)}"]
-    if not r.ok:
-        if r.center_order != 1:
-            lines.append(f"witness: center has order {r.center_order}")
-        if r.outer_witness is not None:
-            lines.append(f"witness: automorphism {r.outer_witness} "
+    witnesses = []
+    if r.center_order != 1:
+        witnesses.append(f"witness: center has order {r.center_order}")
+    if r.outer_witness is not None:
+        witnesses.append(f"witness: automorphism {r.outer_witness} "
                          f"is not inner")
-        return lines, EXIT_FALSE
-    return lines, EXIT_OK
+    return _verdict(lines, r.ok, witnesses)
 
 
 def _cmd_group_localization(args, s):
@@ -189,10 +186,7 @@ def _cmd_group_localization(args, s):
     lines = [f"source: {eta.src.name}", f"target: {eta.dst.name}",
              f"maps: {r.hom_count}", f"endomorphisms: {r.endo_count}",
              f"localization: {_bool(r.ok)}"]
-    if not r.ok:
-        lines.append(f"witness: {r.witness}")
-        return lines, EXIT_FALSE
-    return lines, EXIT_OK
+    return _verdict(lines, r.ok, [f"witness: {r.witness}"])
 
 
 def _cmd_group_socle(args, s):
@@ -208,6 +202,14 @@ def _cmd_group_socle(args, s):
 
 def _target(args, s):
     return amalgam.load_scheme(args.scheme, budget=s.budget)
+
+
+def _target_of_kind(args, s, cls, what):
+    """The scheme's target node, which must be a `cls`."""
+    node = _target(args, s)
+    if not isinstance(node, cls):
+        raise SchemeError(f"target node {node.name} is not {what}")
+    return node
 
 
 def _cmd_word_reduce(args, s):
@@ -227,15 +229,8 @@ def _cmd_word_invert(args, s):
 
 # -- amalgam ----------------------------------------------------------------------
 
-def _amalgam_target(args, s):
-    node = _target(args, s)
-    if not isinstance(node, amalgam.AmalgamNode):
-        raise SchemeError(f"target node {node.name} is not an amalgam")
-    return node
-
-
 def _cmd_amalgam_nf(args, s):
-    node = _amalgam_target(args, s)
+    node = _target_of_kind(args, s, amalgam.AmalgamNode, "an amalgam")
     w = node.canonical(node.parse(args.word))
     return [f"node: {node.name}", f"canonical: {node.format(w)}",
             f"syllables: {len(w)}",
@@ -244,7 +239,7 @@ def _cmd_amalgam_nf(args, s):
 
 
 def _cmd_amalgam_torsion(args, s):
-    node = _amalgam_target(args, s)
+    node = _target_of_kind(args, s, amalgam.AmalgamNode, "an amalgam")
     w = node.parse(args.word)
     core, _ = node.weakly_cyclic_reduce(w)
     if len(core) >= 2 or (len(core) == 1 and
@@ -274,26 +269,16 @@ def _cmd_amalgam_centralizer(args, s):
         lines.append(f"cand {i}: commutes={_bool(e.commutes)} "
                      f"consistent={_bool(e.consistent)} {e.note}")
     lines.append(f"ok: {_bool(r.ok)}")
-    if not r.ok:
-        for i, e in enumerate(r.entries):
-            if not e.consistent:
-                lines.append(f"witness: candidate {i} ({e.word})")
-        return lines, EXIT_FALSE
-    return lines, EXIT_OK
+    return _verdict(lines, r.ok, [f"witness: candidate {i} ({e.word})"
+                                  for i, e in enumerate(r.entries)
+                                  if not e.consistent])
 
 
 # -- hnn --------------------------------------------------------------------------
 
-def _hnn_target(args, s):
-    node = _target(args, s)
-    if not isinstance(node, amalgam.HnnNode):
-        raise SchemeError(f"target node {node.name} is not an extension "
-                          f"with a stable letter")
-    return node
-
-
 def _cmd_hnn_reduce(args, s):
-    node = _hnn_target(args, s)
+    node = _target_of_kind(args, s, amalgam.HnnNode,
+                           "an extension with a stable letter")
     r = node.reduce(node.parse(args.word))
     letters = sum(1 for syl in r if syl[0] == "t")
     return [f"node: {node.name}", f"letter: t{node.letter}",
@@ -379,11 +364,10 @@ def _cmd_sc_certify(args, s):
              f"ratio: {m.ratio}",
              f"bound: {m.bound}",
              f"certified: {_bool(m.ok)}"]
-    if not m.ok:
-        lines.append(f"witness: piece of {m.max_piece} syllables at "
-                     f"(relator, offset) {m.witness[0]} and {m.witness[1]}")
-        return lines, EXIT_FALSE
-    return lines, EXIT_OK
+    # an uncertified system has a piece, so a witness
+    return _verdict(lines, m.ok, (
+        f"witness: piece of {m.max_piece} syllables at (relator, offset) "
+        f"{w[0]} and {w[1]}" for w in [m.witness]))
 
 
 def _cmd_sc_decide(args, s):
@@ -404,19 +388,15 @@ def _cmd_sc_decide(args, s):
 def _cmd_sc_probe(args, s):
     node = _target(args, s)
     system, bound = _sc_system(args, s, node)
-    smallcancel.check_metric(system, bound)
     r = smallcancel.malnormality_probe(system, samples=s.samples,
-                                       seed=s.seed)
+                                       seed=s.seed, bound=bound)
     lines = [f"node: {node.name}", f"samples: {r.samples}",
              f"tower-conjugacies: {r.tower_conjugacies}",
              f"undecided: {r.undecided}",
              f"counterexamples: {len(r.counterexamples)}",
              f"ok: {_bool(r.ok)}"]
-    if not r.ok:
-        for conj, g1, g2 in r.counterexamples[:5]:
-            lines.append(f"witness: {conj} sends {g1} to {g2}")
-        return lines, EXIT_FALSE
-    return lines, EXIT_OK
+    return _verdict(lines, r.ok, [f"witness: {conj} sends {g1} to {g2}"
+                                  for conj, g1, g2 in r.counterexamples[:5]])
 
 
 def _cmd_sc_obstruct(args, s):
@@ -434,17 +414,15 @@ def _cmd_sc_obstruct(args, s):
     for g0, verdict in r.verdicts:
         lines.append(f"shared {g0}: {verdict}")
     lines.append(f"obstructed: {_bool(r.ok)}")
-    if not r.ok:
-        if not r.config_ok:
-            lines.append(f"witness: {r.config_detail}")
-        elif not r.metric_ok:
-            lines.append(f"witness: overlap ratio {r.ratio} exceeds the "
+    witnesses = []
+    if not r.config_ok:
+        witnesses.append(f"witness: {r.config_detail}")
+    elif not r.metric_ok:
+        witnesses.append(f"witness: overlap ratio {r.ratio} exceeds the "
                          f"bound")
-        for g0, verdict in r.verdicts:
-            if verdict != "nonmember":
-                lines.append(f"witness: shared element {g0} gave {verdict}")
-        return lines, EXIT_FALSE
-    return lines, EXIT_OK
+    witnesses += [f"witness: shared element {g0} gave {verdict}"
+                  for g0, verdict in r.verdicts if verdict != "nonmember"]
+    return _verdict(lines, r.ok, witnesses)
 
 
 # -- universe ---------------------------------------------------------------------
@@ -466,11 +444,8 @@ def _cmd_universe_check(args, s):
     rep = universe.check_ugroup(g)
     lines = [f"node: {node.name}", f"tracked: {len(g.addr)}",
              f"ok: {_bool(rep.ok)}"]
-    if not rep.ok:
-        lines.append(f"clause: {rep.clause}")
-        lines.append(f"witness: {rep.detail}")
-        return lines, EXIT_FALSE
-    return lines, EXIT_OK
+    return _verdict(lines, rep.ok, [f"clause: {rep.clause}",
+                                    f"witness: {rep.detail}"])
 
 
 def _cmd_universe_code(args, s):
@@ -497,12 +472,9 @@ def _cmd_universe_probe(args, s):
         lines.append(f"clause {k}: checked {cr.checked} "
                      f"failures {len(cr.failures)}")
     lines.append(f"ok: {_bool(rep.ok)}")
-    if not rep.ok:
-        for k in sorted(rep.clauses):
-            for f in rep.clauses[k].failures[:2]:
-                lines.append(f"witness: clause {k}: {f}")
-        return lines, EXIT_FALSE
-    return lines, EXIT_OK
+    return _verdict(lines, rep.ok, [f"witness: clause {k}: {f}"
+                                    for k in sorted(rep.clauses)
+                                    for f in rep.clauses[k].failures[:2]])
 
 
 def _cmd_universe_density_dom(args, s):
@@ -528,9 +500,7 @@ def _cmd_universe_density_simple(args, s):
             w = node.parse(text)
             tracked.append(w)
             tracked.append(node.invert_word(w))
-        placement = {f"b{alpha}": alpha for alpha in sorted(g.u)}
-        g = universe.assign_addresses(node, sorted(g.u), placement,
-                                      tracked=tracked, h=h)
+        g = universe.assign_addresses(node, g.u, tracked=tracked, h=h)
     move = universe.density_simplicity_step(g, g.node.parse(args.x),
                                             g.node.parse(args.y),
                                             window=s.g0_window)
@@ -745,10 +715,9 @@ def run(argv=None) -> int:
     except SystemExit:  # --help, the only exit left to argparse
         return EXIT_OK
     try:
-        session = Session(seed=getattr(args, "seed", 0),
-                          budget=getattr(args, "budget", None),
-                          g0_window=getattr(args, "g0_window", 16),
-                          samples=getattr(args, "samples", 200))
+        # a flag left off the command line is absent from args
+        session = Session(**{f.name: getattr(args, f.name)
+                             for f in fields(Session) if f.name in args})
         lines, code = args.fn(args, session)
     except BudgetExceeded as exc:
         print(f"error: {exc}")

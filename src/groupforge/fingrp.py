@@ -702,6 +702,9 @@ def parse_group_text(text: str) -> FiniteGroup:
             if len(gen) != k:
                 raise GroupError(f"line {lineno}: permutation line has "
                                  f"{len(gen)} images, expected {k}")
+            if sorted(gen) != list(range(k)):
+                raise GroupError(f"line {lineno}: not a permutation of "
+                                 f"0..{k-1}: {gen}")
             gens.append(gen)
             pos += 1
         if not gens:
@@ -745,3 +748,10 @@ def named_group(spec: str) -> FiniteGroup:
     if os.path.exists(spec):
         return load_group(spec)
     raise GroupError(f"unknown group {spec!r} (not a builtin name or file)")
+
+
+def group_at(spec: str, base_dir: str) -> FiniteGroup:
+    """The group a file in base_dir names: a path is taken relative to that
+    file first."""
+    cand = os.path.join(base_dir, spec)
+    return named_group(cand if os.path.exists(cand) else spec)

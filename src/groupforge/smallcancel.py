@@ -38,7 +38,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import words as W
-from .amalgam import AmalgamNode, HnnNode, Node, SchemeError
+from .amalgam import AmalgamNode, Node, SchemeError, shared_pairing
 from .words import EMPTY, FACTOR, SyllableWord
 
 # (prime modulus, base) of the two span fingerprints; a modulus below 2^31
@@ -81,15 +81,6 @@ def build_relator(node: Node, z_word, x0_word, x1_word, n: int) -> SyllableWord:
 
 # -- relator systems ------------------------------------------------------------
 
-def _cyclic_core(node: Node, w) -> SyllableWord:
-    if isinstance(node, AmalgamNode):
-        core, _ = node.weakly_cyclic_reduce(w)
-        return core
-    if isinstance(node, HnnNode):
-        return node.cyclic_britton_reduce(w)
-    return node.reduce(w)
-
-
 class RelatorSystem:
     """Relators over a tower node, with the matching tables built lazily."""
 
@@ -100,10 +91,10 @@ class RelatorSystem:
             raise SchemeError("relator system needs at least one relator")
         cyc = []
         for r in self.relators:
-            core = _cyclic_core(node, r)
+            core = node.cyclic_core(r)
             if core and core not in cyc:
                 cyc.append(core)
-            inv = _cyclic_core(node, node.invert_word(core))
+            inv = node.cyclic_core(node.invert_word(core))
             if inv and inv not in cyc:
                 cyc.append(inv)
         self.cyclic_relators = cyc
@@ -122,7 +113,7 @@ class RelatorSystem:
         if got is not None:
             return got
         node = self.node
-        shared = getattr(node, "_shared", None)
+        shared = shared_pairing(node)
         if syl[0] != FACTOR or shared is None:
             ids = (syl, syl, syl, syl)
         else:
@@ -230,6 +221,21 @@ def _keys(arrays, L, at):
     return key
 
 
+def _longest(top, probe):
+    """Binary search for the largest L in 1..top with probe(L) not None,
+    for a probe that holds at every length below one where it holds.
+    Returns (L, probe(L)), or (0, None) when it holds nowhere."""
+    lo, hit = 0, None
+    while lo < top:
+        mid = (lo + top + 1) // 2
+        got = probe(mid)
+        if got is not None:
+            lo, hit = mid, got
+        else:
+            top = mid - 1
+    return lo, hit
+
+
 def _verify_fuzzy(arr1, p, arr2, q, L):
     """Exact check of a key hit (guards against fingerprint collisions).
     Class codes are injective on class ids, so equal codes are equal
@@ -311,18 +317,18 @@ def max_piece(system: RelatorSystem) -> MetricReport:
     # every probe after a hit is longer, and a piece truncates to a piece at
     # the same offsets, so it keys only the spans whose key repeated there
     pool = [(ri, arr["n"]) for ri, arr in enumerate(arrays)]
-    lo, hi = 0, max(lengths)
-    witness = None
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        got = occurs_twice(mid, pool)
-        if got is not None:
-            witness, pool = got
-            lo = mid
-        else:
-            hi = mid - 1
-    ratio = Fraction(lo, min(lengths))
-    return MetricReport(lo, lengths, ratio, witness)
+
+    def probe(L):
+        nonlocal pool
+        got = occurs_twice(L, pool)
+        if got is None:
+            return None
+        witness, pool = got
+        return witness
+
+    piece, witness = _longest(max(lengths), probe)
+    return MetricReport(piece, lengths, Fraction(piece, min(lengths)),
+                        witness)
 
 
 def check_metric(system: RelatorSystem,
@@ -362,13 +368,10 @@ def _best_match(system: RelatorSystem, w):
     best = None
     for ri, rarr in enumerate(arrays):
         rlen = rarr["n"]
-        cap = min(wlen, rlen)
 
         def match_at(L):
             """The least word offset p, then the least relator offset q,
             whose spans of length L verify."""
-            if L > rlen:
-                return None
             rkeys, order = system._relator_keys(ri, L)
             wkeys = wkeys_at.get(L)
             if wkeys is None:
@@ -383,21 +386,10 @@ def _best_match(system: RelatorSystem, w):
                         return (p, q)
             return None
 
-        lo, hi = 0, cap
-        hit = None
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            got = match_at(mid)
-            if got is not None:
-                hit = (mid, got)
-                lo = mid
-            else:
-                hi = mid - 1
+        L, hit = _longest(min(wlen, rlen), match_at)
         if hit is None:
             continue
-        L, (p, q) = hit
-        frac = Fraction(L, rlen)
-        cand = (frac, L, p, ri, q)
+        cand = (Fraction(L, rlen), L, hit[0], ri, hit[1])
         if best is None or cand[0] > best[0]:
             best = cand
     return best
@@ -408,7 +400,7 @@ def _end_carries(system: RelatorSystem, wsyls, p, rel, q, L):
 
     Returned as factor syllables (or None when trivial)."""
     node = system.node
-    shared = getattr(node, "_shared", None)
+    shared = shared_pairing(node)
     s_first, r_first = wsyls[p], rel[q % len(rel)]
     s_last, r_last = wsyls[p + L - 1], rel[(q + L - 1) % len(rel)]
     if L == 1:
@@ -491,7 +483,7 @@ def greendlinger_decide(system: RelatorSystem, w, *, max_steps: int = 10000,
     trace = []
     steps = 0
     while True:
-        core = _cyclic_core(node, cur)
+        core = node.cyclic_core(cur)
         if core != cur:
             trace.append(DehnStep("cyclic", (W.format_word(cur),
                                              W.format_word(core))))
@@ -533,7 +525,7 @@ def replay_trace(system: RelatorSystem, w, verdict: DehnVerdict) -> bool:
             before, after = step.data
             if W.format_word(cur) != before:
                 return False
-            core = _cyclic_core(node, cur)
+            core = node.cyclic_core(cur)
             if W.format_word(core) != after:
                 return False
             cur = core
@@ -555,7 +547,7 @@ def replay_trace(system: RelatorSystem, w, verdict: DehnVerdict) -> bool:
                     return False
             a = (FACTOR, wsyls[p][1], a_elem) if a_elem is not None else None
             b = (FACTOR, wsyls[p + L - 1][1], b_elem) if b_elem is not None else None
-            shared = getattr(node, "_shared", None)
+            shared = shared_pairing(node)
             s0, r0 = wsyls[p], rel[q % len(rel)]
             sl, rl = wsyls[p + L - 1], rel[(q + L - 1) % len(rel)]
             if L >= 2:
@@ -604,15 +596,17 @@ def _random_word(node: Node, rng: random.Random, length: int) -> SyllableWord:
 
 
 def malnormality_probe(system: RelatorSystem, *, samples: int = 200,
-                       seed: int = 0) -> ProbeReport:
+                       seed: int = 0,
+                       bound: Fraction = Fraction(1, 10)) -> ProbeReport:
     """Look for unexpected quotient-level conjugacies c^-1 g c = g' with g, g'
     nontrivial factor elements outside the shared subgroup and c a word of at
-    least two syllables.  A member verdict is a counterexample."""
+    least two syllables.  A member verdict is a counterexample.  The system
+    must be certified at `bound`, which every decision runs at."""
     node = system.node
     if not isinstance(node, AmalgamNode):
         raise SchemeError("the probe runs over an amalgamated product")
     rng = random.Random(seed)
-    shared = node._shared
+    shared = node._bound
     pool = []
     for side in (0, 1):
         fac = node.factors[side]
@@ -623,6 +617,7 @@ def malnormality_probe(system: RelatorSystem, *, samples: int = 200,
                     if not fac.is_identity_elem(e) and not shared.member(side, e))
     if not pool:
         raise SchemeError("no factor elements outside the shared subgroup")
+    system.ensure_certified(bound)
     counterexamples = []
     undecided = 0
     tower_conj = 0
@@ -641,7 +636,7 @@ def malnormality_probe(system: RelatorSystem, *, samples: int = 200,
         if not wordw:
             tower_conj += 1     # already conjugate in the tower itself
             continue
-        verdict = greendlinger_decide(system, wordw)
+        verdict = greendlinger_decide(system, wordw, bound=bound)
         if verdict.status == "member":
             counterexamples.append((node.format(c), (side, g), (side2, g2)))
         elif verdict.status == "undecided":
@@ -676,7 +671,7 @@ def obstruction_check(node: Node, z_word, x0_word, x1_word, y0_word, y1_word,
     y0_elem = node.intern(y0)
     details = []
     config_ok = True
-    if len(y0) <= 1 and (not y0 or node._shared.member(y0[0][1], y0[0][2])):
+    if len(y0) <= 1 and (not y0 or node._bound.member(y0[0][1], y0[0][2])):
         config_ok = False
         details.append("y0 lies in the shared subgroup")
     x0c = node.conjugate_word(x0_word, y0)
@@ -694,7 +689,7 @@ def obstruction_check(node: Node, z_word, x0_word, x1_word, y0_word, y1_word,
                                  metric.ratio, [], False)
     verdicts = []
     ok = True
-    for l_elem, _ in system.node._shared.pairs:
+    for l_elem, _ in system.node._bound.pairs:
         if node.factors[0].is_identity_elem(l_elem):
             continue
         v = greendlinger_decide(system, SyllableWord([(FACTOR, 0, l_elem)]),

@@ -39,7 +39,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
 
 from .amalgam import (AmalgamNode, BaseNode, ExplicitShared, HnnNode,
-                      INFINITE, Node, SchemeError, make_conjugate)
+                      INFINITE, Node, SchemeError, make_conjugate,
+                      shared_pairing)
 from .fingrp import FiniteGroup
 from .words import EMPTY, FACTOR, LETTER, SyllableWord
 
@@ -88,10 +89,6 @@ class UGroup:
         # makes the tables on first access; standard and derived groups
         # replace the word-by-word default
         self._build = self._multiplied_tables
-
-    @property
-    def addr_set(self):
-        return frozenset(self._by_addr)
 
     def word_at(self, a: Address) -> SyllableWord:
         return self._by_addr[a]
@@ -157,11 +154,6 @@ def le(p: UGroup, q: UGroup) -> bool:
     return pm.items() <= qm.items() and pi.items() <= qi.items()
 
 
-def same_ugroup(p: UGroup, q: UGroup) -> bool:
-    return (p.u == q.u and p.addr_set == q.addr_set
-            and p.amul == q.amul and p.ainv == q.ainv)
-
-
 def restrict(g: UGroup, alpha: int) -> UGroup:
     """The part of g addressed strictly below block alpha."""
     if alpha < 1:
@@ -187,9 +179,9 @@ def _derived(g: UGroup, addr: dict, u, name: str) -> UGroup:
 
 # -- norms and address assignment ------------------------------------------------
 
-def _leaf_blocks(node: Node, placement: Optional[dict], u_sorted) -> dict:
-    """Home block for every base leaf, from the placement policy or by
-    pairing leaves with the sorted blocks."""
+def _leaf_blocks(node: Node, u_sorted) -> dict:
+    """Home block for every base leaf: the leaves in tree order take the
+    sorted blocks in turn."""
     leaves = []
 
     def walk(n):
@@ -200,13 +192,6 @@ def _leaf_blocks(node: Node, placement: Optional[dict], u_sorted) -> dict:
                 walk(f)
 
     walk(node)
-    if placement is not None:
-        out = {}
-        for leaf in leaves:
-            if leaf.name not in placement:
-                raise SchemeError(f"placement misses the base copy {leaf.name}")
-            out[id(leaf)] = placement[leaf.name]
-        return out
     if len(leaves) > len(u_sorted):
         raise SchemeError(f"{len(leaves)} base copies but only "
                           f"{len(u_sorted)} blocks")
@@ -218,13 +203,13 @@ def _norm_word(node: Node, w, homes: dict, memo: dict) -> int:
         e = node.intern(w)
         return 0 if node.group.is_identity(e) else homes[id(node)]
     best = 0
+    shared = shared_pairing(node)
     for syl in node.reduce(w):
         if syl[0] == LETTER:
             n = _letter_norm(node, homes, memo)
         else:
             side, elem = syl[1], syl[2]
             n = _norm_elem(node.factors[side], elem, homes, memo)
-            shared = getattr(node, "_shared", None)
             if shared is not None and shared.member(side, elem):
                 other = shared.convert(side, elem)
                 n = min(n, _norm_elem(node.factors[1 - side], other,
@@ -247,7 +232,7 @@ def _letter_norm(node: HnnNode, homes: dict, memo: dict) -> int:
     got = memo.get(key)
     if got is None:
         got = 0
-        for b_elem, _ in node._assoc.scan(1):
+        for b_elem, _ in node._bound.scan(1):
             got = max(got, _norm_elem(node.base, b_elem, homes, memo))
         memo[key] = got
     return got
@@ -279,8 +264,7 @@ def _tracked_words(node: Node) -> list:
     return list(out)
 
 
-def assign_addresses(node: Node, u, placement: Optional[dict] = None, *,
-                     tracked: Optional[list] = None,
+def assign_addresses(node: Node, u, *, tracked: Optional[list] = None,
                      h: Optional[FiniteGroup] = None) -> UGroup:
     """Address the tracked elements of a tower group into the blocks of u."""
     u = sorted(set(u))
@@ -291,10 +275,7 @@ def assign_addresses(node: Node, u, placement: Optional[dict] = None, *,
     if u[-1] >= LAMPLUS:
         raise SchemeError(f"block {u[-1]} is beyond the configured "
                           f"{LAMPLUS} blocks")
-    homes = _leaf_blocks(node, placement, u)
-    for b in homes.values():
-        if b not in u:
-            raise SchemeError(f"placement uses block {b} outside the block set")
+    homes = _leaf_blocks(node, u)
     words = tracked if tracked is not None else _tracked_words(node)
     memo: dict = {}
     per_block: dict = {b: [] for b in u}
@@ -605,7 +586,8 @@ def poset_axiom_probe(family: list, *, samples: int = 20,
             for a2 in range(a1 + 1, top):
                 if {b for b in p.u if b < a1} == {b for b in p.u if b < a2}:
                     res[5].checked += 1
-                    if not same_ugroup(restricted(i, a1), restricted(i, a2)):
+                    r1, r2 = restricted(i, a1), restricted(i, a2)
+                    if not (le(r1, r2) and le(r2, r1)):
                         res[5].failures.append(
                             f"restrictions of {p.name} at {a1} and {a2} "
                             f"differ despite equal block sets")

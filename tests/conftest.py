@@ -2,7 +2,7 @@ import pytest
 
 from groupforge import amalgam, fingrp
 from groupforge.amalgam import (AmalgamNode, BaseNode, CyclicShared,
-                                ExplicitAssoc, ExplicitShared, HnnNode)
+                                ExplicitShared, HnnNode)
 
 
 def is_isomorphic(a: fingrp.FiniteGroup, b: fingrp.FiniteGroup) -> bool:
@@ -29,7 +29,7 @@ def z6_pair(twist: bool = False) -> AmalgamNode:
 def z6_hnn() -> HnnNode:
     """Z/6 with a stable letter identifying the subgroup {0, 3} with itself."""
     base = BaseNode(fingrp.cyclic(6), name="c")
-    return HnnNode(base, ExplicitAssoc([0, 3], [0, 3]))
+    return HnnNode(base, ExplicitShared([0, 3], [0, 3]))
 
 
 @pytest.fixture

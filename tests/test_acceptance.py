@@ -280,8 +280,8 @@ def test_criterion_8_reduction_soundness(capsys):
             cancel_ok = False
 
     hnn = amalgam.HnnNode(amalgam.BaseNode(fingrp.cyclic(5), name="g"),
-                          amalgam.ExplicitAssoc([0, 1, 2, 3, 4],
-                                                [0, 2, 4, 1, 3]))
+                          amalgam.ExplicitShared([0, 1, 2, 3, 4],
+                                                 [0, 2, 4, 1, 3]))
     for _ in range(10000):
         syls = []
         for _ in range(rng.randrange(0, 13)):
@@ -318,7 +318,7 @@ def test_criterion_8_reduction_soundness(capsys):
                 [(a, aut.conj(a, inv)) for a in elems]):
         r = amalgam.realize_iso_by_hnn(hat, elems, [b for _, b in phi],
                                        elems, elems, phi_pairs=phi)
-        lift = lambda e: r.node.lift(r.mid.lift(e))
+        lift = lambda e: r.node.lift(0, r.mid.lift(0, e))
         for a, b in phi:
             got = r.node.conjugate_word(r.node.elem_word(lift(a)), r.conj)
             if not r.node.equal(got, r.node.elem_word(lift(b))):

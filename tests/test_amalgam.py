@@ -14,9 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from groupforge import amalgam, fingrp, universe
 from groupforge import words as W
-from groupforge.amalgam import (INFINITE, AmalgamNode, BaseNode, CyclicAssoc,
-                                CyclicShared, ExplicitAssoc, ExplicitShared,
-                                HnnNode,
+from groupforge.amalgam import (INFINITE, AmalgamNode, BaseNode,
+                                CyclicShared, ExplicitShared, HnnNode,
                                 SchemeError, adjoin_socle_witness,
                                 centralizer_conclusion_check,
                                 conjugate_torsion_into_factor, fresh_letter,
@@ -257,7 +256,7 @@ def test_britton_canonical_equal(w):
 def z6_hnn_twisted() -> HnnNode:
     """Z/6 with a stable letter conjugating {0, 2, 4} by inversion."""
     base = BaseNode(fingrp.cyclic(6), name="c")
-    return HnnNode(base, ExplicitAssoc([0, 2, 4], [0, 4, 2]))
+    return HnnNode(base, ExplicitShared([0, 2, 4], [0, 4, 2]))
 
 
 JUNCTION_NODES = {"amalgam": z6_pair(), "twisted": s3xz2_pair(),
@@ -495,10 +494,10 @@ def test_letter_has_infinite_order():
 def test_cyclic_britton_reduce_shrinks_conjugates():
     t = HN6.letter
     w = HN6.parse(f"f0:1 t{t} f0:3 t{t}^-1 f0:5")
-    r = HN6.cyclic_britton_reduce(w)
+    r = HN6.cyclic_core(w)
     letters = lambda u: sum(1 for s in u if s[0] == LETTER)
     assert letters(r) <= letters(HN6.reduce(w))
-    assert letters(HN6.cyclic_britton_reduce(r)) == letters(r)
+    assert letters(HN6.cyclic_core(r)) == letters(r)
 
 
 def oracle_cyclic_britton_reduce(node, w):
@@ -519,7 +518,7 @@ def oracle_cyclic_britton_reduce(node, w):
                     else node.base.identity_elem())
             side = 0 if cur[lastpos][2] == -1 else 1
             if (node.base.is_identity_elem(tail)
-                    or node._assoc.member(side, tail)):
+                    or node._bound.member(side, tail)):
                 cur = rotated
                 continue
         return cur
@@ -538,7 +537,7 @@ def test_cyclic_britton_reduce_matches_full_rotations(name, data):
     words = hnn_words(node, 6)
     u, c = data.draw(words), data.draw(words)
     w = SyllableWord(list(W.invert(c, node.ops)) + list(u) + list(c))
-    got = node.cyclic_britton_reduce(w)
+    got = node.cyclic_core(w)
     assert got == oracle_cyclic_britton_reduce(node, w)
     assert node._holds(got) and node.reduce(SyllableWord(got)) == got
 
@@ -548,13 +547,13 @@ def test_cyclic_britton_reduce_pinches_around_the_wrap():
     first letter once it is rotated to the end."""
     t = HN6.letter
     w = HN6.parse(f"t{t} f0:1 t{t}^-1 f0:3")
-    assert HN6.cyclic_britton_reduce(w) == HN6.parse("f0:4")
+    assert HN6.cyclic_core(w) == HN6.parse("f0:4")
     assert oracle_cyclic_britton_reduce(HN6, w) == HN6.parse("f0:4")
 
 
 def test_cyclic_assoc_spec():
     base = BaseNode(fingrp.cyclic(5), name="c5")
-    node = HnnNode(base, CyclicAssoc(1, 2, window=16))
+    node = HnnNode(base, CyclicShared(1, 2, window=16))
     t = node.letter
     assert node.reduce(node.parse(f"t{t}^-1 f0:1 t{t}")) == \
         node.parse("f0:2")
@@ -567,7 +566,7 @@ def windowed_hnn(window):
     the associated subgroups are the powers of u up to +-window."""
     free = free_product(3, 3)
     u = free.intern(free.parse("f0:1 f1:1"))
-    return HnnNode(free, CyclicAssoc(u, u, window=window)), u
+    return HnnNode(free, CyclicShared(u, u, window=window)), u
 
 
 def windowed_amalgam(window):
@@ -658,7 +657,7 @@ def test_bound_pairs_reject_unknown_element_indices():
     with pytest.raises(SchemeError, match="element index 9 unknown at a"):
         AmalgamNode(left, right, ExplicitShared([0, 9], [0, 9]))
     with pytest.raises(SchemeError, match="element index 12 unknown at a"):
-        HnnNode(left, CyclicAssoc(1, 12))
+        HnnNode(left, CyclicShared(1, 12))
 
 
 def test_make_conjugate_produces_verified_letter():
@@ -721,7 +720,7 @@ def test_realize_iso_identity_pairing():
                            phi_pairs=[(a, a) for a in elems])
     assert r.letters[0] != r.letters[1]
     assert r.hat_conjugator == node.group.identity
-    lift = lambda e: r.node.lift(r.mid.lift(e))
+    lift = lambda e: r.node.lift(0, r.mid.lift(0, e))
     for a in elems:
         fixed = r.node.conjugate_word(r.node.elem_word(lift(a)), r.conj)
         assert r.node.equal(fixed, r.node.elem_word(lift(a)))
@@ -735,7 +734,7 @@ def test_realize_iso_checks_every_pair():
     phi = [(a, aut.conj(a, g)) for a in elems]
     r = realize_iso_by_hnn(node, elems, [b for _, b in phi], elems, elems,
                            phi_pairs=phi)
-    lift = lambda e: r.node.lift(r.mid.lift(e))
+    lift = lambda e: r.node.lift(0, r.mid.lift(0, e))
     for a, b in phi:
         got = r.node.conjugate_word(r.node.elem_word(lift(a)), r.conj)
         assert r.node.equal(got, r.node.elem_word(lift(b)))
@@ -856,6 +855,54 @@ def test_scheme_cyclic_hnn_directive():
     t = node.letter
     assert node.reduce(node.parse(f"t{t}^-1 f0:1 t{t}")) == \
         node.parse("f0:2")
+
+
+def test_scheme_pairings_parse_the_same_for_both_node_kinds():
+    """`shared` and `assoc` tails give one spec, read into the same bound
+    pairs; so do the `cyclic` tails, window included."""
+    head = "group g z6\nbase l g\nbase r g\n"
+    am = parse_scheme_text(head + "amalgam a l r shared 0=0 2=4 4=2\n")
+    hn = parse_scheme_text(head + "hnn h l assoc 0=0 2=4 4=2\n")
+    assert am._bound.pairs == hn._bound.pairs == [(0, 0), (2, 4), (4, 2)]
+    am = parse_scheme_text(head + "amalgam a l r cyclic 2:4 3\n")
+    hn = parse_scheme_text(head + "hnn h l cyclic 2:4 3\n")
+    assert am._bound.pairs == hn._bound.pairs == [(0, 0), (2, 4), (4, 2)]
+
+
+@pytest.mark.parametrize("line,match", [
+    ("amalgam a l r assoc 0=0", "line 4: amalgam mode must be 'shared' or "
+                                "'cyclic'"),
+    ("hnn h l shared 0=0", "line 4: hnn mode must be 'assoc' or 'cyclic'"),
+    ("hnn h l assoc 0-0", "line 4: expected <int>=<int>, got '0-0'"),
+    ("amalgam a l r cyclic x:2 y", "line 4: invalid literal .* 'y'"),
+    ("hnn h l cyclic 1:2", r"line 4: h associated subgroups: generator "
+                           r"orders differ \(6 vs 3\)"),
+])
+def test_scheme_pairing_errors(line, match):
+    with pytest.raises((SchemeError, ValueError), match=match):
+        parse_scheme_text("group g z6\nbase l g\nbase r g\n" + line + "\n")
+
+
+def test_both_node_kinds_lift_the_distinguished_copies():
+    hat = hat_base(fingrp.symmetric(3))
+    ext = HnnNode(hat, ExplicitShared([0], [0]))
+    am = AmalgamNode(BaseNode(fingrp.cyclic(2)), ext,
+                     ExplicitShared([0], [0]))
+    assert ext.h_group is am.h_group is hat.h_group
+    for key, elems in hat.distinguished.items():
+        assert ext.distinguished[key] == [ext.lift(0, e) for e in elems]
+        assert am.distinguished[key] == [am.lift(1, e)
+                                         for e in ext.distinguished[key]]
+        assert [ext.elem_word(e) for e in ext.distinguished[key]] == \
+            [SyllableWord([(FACTOR, 0, e)]) if e else EMPTY for e in elems]
+
+
+def test_cyclic_core_per_node_kind():
+    base = BaseNode(fingrp.cyclic(6))
+    assert base.cyclic_core(base.parse("f0:2 f0:5")) == base.parse("f0:1")
+    for w in ("f1:1 f0:1 f1:2 f0:3 f1:5", "f0:1 f1:3 f0:5", "f0:2 f1:1"):
+        w = AM66.parse(w)
+        assert AM66.cyclic_core(w) == AM66.weakly_cyclic_reduce(w)[0]
 
 
 def test_scheme_defaults_to_last_node():

@@ -241,6 +241,28 @@ def test_bad_hom_files(capsys, files, name, msg):
     assert msg in out
 
 
+@pytest.mark.parametrize("name,text,out", [
+    ("group.grp", "group p\nperms 3\n# a comment\n1 2 0\n0 0 1\n",
+     "error: line 5: not a permutation of 0..2: (0, 0, 1)\n"),
+    ("src.hom", "hom eta\nsrc foo\ndst z4\nmap 0 2\n",
+     "error: line 2: unknown group 'foo' (not a builtin name or file)\n"),
+    # a group file named from a hom file: the hom line, then the group line
+    ("dst.hom", "hom eta\nsrc z2\n\ndst bad.grp\nmap 0 2\n",
+     "error: line 4: line 3: not a permutation of 0..1: (1, 1)\n"),
+    ("grp.scheme", "group g bad.grp\nbase b g\n",
+     "error: line 1: line 3: not a permutation of 0..1: (1, 1)\n"),
+], ids=["group", "hom-src", "hom-dst-file", "scheme-group-file"])
+def test_group_and_hom_file_errors_name_their_line(capsys, tmp_path, name,
+                                                   text, out):
+    (tmp_path / "bad.grp").write_text("group q\nperms 2\n1 1\n")
+    path = tmp_path / name
+    path.write_text(text)
+    argv = (["group", "check", str(path)] if name.endswith(".grp")
+            else ["group", "localization", "--eta", str(path)]
+            if name.endswith(".hom") else ["word", "reduce", str(path), "1"])
+    assert forge(capsys, *argv) == (EXIT_INPUT, out)
+
+
 def test_missing_hom_file(capsys):
     code, out = forge(capsys, "group", "localization", "--eta",
                       "/nonexistent/eta.hom")
@@ -467,6 +489,25 @@ def test_sc_probe_quiet(capsys, files):
     assert field(out, "samples") == "20"
     assert field(out, "counterexamples") == "0"
     assert field(out, "ok") == "true"
+
+
+def test_sc_probe_certifies_at_the_bound_it_is_given(capsys, files):
+    """n = 3 has ratio 9/24: above the default 1/10, within 1/2.  n = 80 has
+    ratio 317/12960: within 1/10, above 1/100."""
+    short = ("sc", "probe", files["fp"], "--n", "3", "--samples", "20")
+    code, out = forge(capsys, *short)
+    assert code == EXIT_INPUT
+    assert out == ("error: relator system is not certified at 1/10: max "
+                   "piece 9 of relator length 24\n")
+    code, out = forge(capsys, *short, "--bound", "1/2")
+    assert code == EXIT_OK
+    assert field(out, "samples") == "20"
+    assert field(out, "ok") == "true"
+    code, out = forge(capsys, "sc", "probe", files["fp"], "--n", "80",
+                      "--samples", "0", "--bound", "1/100")
+    assert code == EXIT_INPUT
+    assert out == ("error: relator system is not certified at 1/100: max "
+                   "piece 317 of relator length 12960\n")
 
 
 def test_sc_obstruct_holds(capsys, files):
@@ -968,6 +1009,104 @@ def test_fuzzed_command_lines_never_reach_stderr(capsys, flags, command, keep,
     captured = capsys.readouterr()
     assert code in (EXIT_OK, EXIT_FALSE, EXIT_UNDECIDED, EXIT_INPUT), argv
     assert captured.err == "", argv
+
+
+# -- fuzzing the three file formats ------------------------------------------
+
+# README's files and the fixtures above, and a few that reach the cyclic
+# pairings and group files named from other files
+FILE_SEEDS = {
+    "scheme": [FP57, FP35, TWIST, HNN5, HAT,
+               "group g z6\nbase c g\nhnn top c cyclic 2:4\ntarget top\n",
+               "group g z6\nbase l g\nbase r g\n"
+               "amalgam top l r cyclic 2:2 3\n",
+               "group k k4.grp\nbase l k\nbase r k\n"
+               "amalgam top l r shared 0=0 1=1\n"],
+    "group": [K4_TABLE, "group p\nperms 3\n1 2 0\n1 0 2\n",
+              "group c\norder 3\nperms 3\n1 2 0\n"],
+    "hom": ["hom eta\nsrc z2\ndst z4\nmap 0 2\n", "src z2\ndst z2\nmap 0 1\n",
+            "hom k\nsrc k4.grp\ndst z2\nmap 0 1\nmap 1 0\n"],
+}
+FILE_TOKENS = ["0", "1", "2", "3", "5", "7", "9", "64", "-1", "x", "", "=",
+               ":", "0=0", "1=2", "2=x", "1:2", "3:x", "#", "z3", "s3", "z6",
+               "k4.grp", "nosuch.grp", "fz.scheme", "group", "base", "hat",
+               "amalgam", "hnn", "shared", "assoc", "cyclic", "target",
+               "order", "table", "perms", "src", "dst", "map", "hom"]
+FILE_COMMANDS = {
+    "scheme": [["word", "reduce", "{}", "f0:1 f0:2"],
+               ["amalgam", "nf", "{}", "f1:1 f0:2 f1:1"],
+               ["hnn", "reduce", "{}", "t1^-1 f0:1 t1"],
+               ["universe", "check", "{}", "--blocks", "0,1"],
+               ["sc", "certify", "{}", "--n", "2"]],
+    "group": [["group", "check", "{}"]],
+    "hom": [["group", "localization", "--eta", "{}"]],
+}
+ALL_SEED_LINES = sorted({ln for seeds in FILE_SEEDS.values()
+                         for text in seeds for ln in text.splitlines()})
+
+
+@st.composite
+def mutated_file(draw):
+    """(format, text): a seed file with a few lines dropped, repeated,
+    swapped, cut short or re-tokenised, or lines of other files spliced
+    in."""
+    kind = draw(st.sampled_from(sorted(FILE_SEEDS)))
+    lines = draw(st.sampled_from(FILE_SEEDS[kind])).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["drop", "repeat", "swap", "cut", "token",
+                                   "insert", "splice"]))
+        i = draw(st.integers(0, max(len(lines) - 1, 0)))
+        if not lines:
+            lines = [draw(st.sampled_from(ALL_SEED_LINES))]
+        elif op == "drop":
+            del lines[i]
+        elif op == "repeat":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op in ("cut", "token", "insert"):
+            toks = lines[i].split()
+            k = draw(st.integers(0, len(toks)))
+            if op == "cut":
+                toks = toks[:k]
+            else:
+                new = draw(st.sampled_from(FILE_TOKENS))
+                toks[k:k + (op == "token")] = [new]
+            lines[i] = " ".join(toks)
+        else:
+            lines.insert(i, draw(st.sampled_from(ALL_SEED_LINES)))
+    return kind, "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "k4.grp").write_text(K4_TABLE)
+    return d
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(mutated_file(), st.integers(0, 4))
+def test_fuzzed_files_never_reach_stderr(capsys, fuzz_dir, case, pick):
+    """A mutated scheme, group or hom file ends in one of the four exit
+    codes with nothing on stderr; an input error is one `error:` line."""
+    kind, text = case
+    path = fuzz_dir / f"fz.{kind}"
+    path.write_text(text)
+    commands = FILE_COMMANDS[kind]
+    argv = [a.format(path) for a in commands[pick % len(commands)]]
+    capsys.readouterr()
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code in (EXIT_OK, EXIT_FALSE, EXIT_UNDECIDED, EXIT_INPUT), \
+        (text, argv, captured.out)
+    assert captured.err == "", (text, argv)
+    if code == EXIT_INPUT:
+        assert captured.out.startswith("error: "), (text, argv)
+        assert len(captured.out.splitlines()) == 1, (text, argv)
 
 
 def test_repeated_runs_are_byte_identical(forge_bin):

@@ -19,8 +19,7 @@ from hypothesis import given, settings, strategies as st
 from groupforge import fingrp, smallcancel
 from groupforge import words as W
 from groupforge.amalgam import (AmalgamNode, BaseNode, CyclicShared,
-                                ExplicitAssoc, ExplicitShared, HnnNode,
-                                SchemeError)
+                                ExplicitShared, HnnNode, SchemeError)
 from groupforge.smallcancel import (RelatorSystem, _best_match,
                                     _verify_fuzzy, build_relator, build_tau,
                                     check_metric, greendlinger_decide,
@@ -510,7 +509,7 @@ def test_tau_matches_blockwise_concatenation(name, x0, x1):
 def z6_hnn_twisted():
     """Z/6 with a stable letter conjugating {0, 2, 4} by inversion."""
     return HnnNode(BaseNode(fingrp.cyclic(6), name="c"),
-                   ExplicitAssoc([0, 2, 4], [0, 4, 2]))
+                   ExplicitShared([0, 2, 4], [0, 4, 2]))
 
 
 BLOCK_NODES = {"amalgam": z6_pair, "twisted": lambda: z6_pair(twist=True),
@@ -742,6 +741,28 @@ def test_malnormality_probe_is_quiet_on_tau():
     assert rep.ok
     assert rep.samples == 50
     assert rep.counterexamples == []
+
+
+def test_malnormality_probe_certifies_at_its_bound(monkeypatch):
+    """Z3 * Z5 at n = 3 has ratio 3/8 and at n = 19 ratio 73/760.  The probe
+    certifies at its own bound before it samples, zero samples included,
+    and every decision runs at that bound."""
+    _, _, loose = tau_system(3, 5, 3)
+    assert check_metric(loose).ratio == Fraction(3, 8)
+    with pytest.raises(SchemeError, match="not certified at 1/10"):
+        malnormality_probe(loose, samples=0)
+    bounds = []
+
+    def decide(system, w, **kw):
+        bounds.append(kw["bound"])
+        return greendlinger_decide(system, w, **kw)
+
+    monkeypatch.setattr(smallcancel, "greendlinger_decide", decide)
+    rep = malnormality_probe(loose, samples=20, seed=1, bound=Fraction(1, 2))
+    assert rep.ok and bounds == [Fraction(1, 2)] * (20 - rep.tower_conjugacies)
+    _, _, tight = tau_system(3, 5, 19)
+    with pytest.raises(SchemeError, match="not certified at 1/100"):
+        malnormality_probe(tight, samples=0, bound=Fraction(1, 100))
 
 
 def test_malnormality_probe_needs_an_amalgam():

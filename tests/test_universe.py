@@ -14,14 +14,14 @@ from hypothesis import given, settings, strategies as st
 
 from groupforge import fingrp, universe
 from groupforge import words as W
-from groupforge.amalgam import (AmalgamNode, BaseNode, ExplicitAssoc,
+from groupforge.amalgam import (AmalgamNode, BaseNode, ExplicitShared,
                                 HnnNode, SchemeError)
 from groupforge.universe import (Address, Code, CodeRegistry, UGroup,
                                  assign_addresses, block_filter, check_ugroup,
                                  density_domain_step, density_simplicity_step,
                                  is_strong_iso, le, order_iso_image,
                                  poset_axiom_probe,
-                                 replay_simplicity, restrict, same_ugroup,
+                                 replay_simplicity, restrict,
                                  standard_family, standard_ugroup)
 from groupforge.words import EMPTY, FACTOR, SyllableWord
 
@@ -41,9 +41,12 @@ def tracked_ugroup(h, blocks, extra_texts):
         w = node.parse(text)
         tracked.append(w)
         tracked.append(node.invert_word(w))
-    placement = {f"b{alpha}": alpha for alpha in sorted(g.u)}
-    return assign_addresses(node, sorted(g.u), placement, tracked=tracked,
-                            h=h)
+    return assign_addresses(node, g.u, tracked=tracked, h=h)
+
+
+def same_ugroup(p, q):
+    """Equal addressed structures: containment both ways."""
+    return le(p, q) and le(q, p)
 
 
 # -- addresses and raw groups -----------------------------------------------------
@@ -68,8 +71,8 @@ def test_partial_tables_see_only_tracked_products():
     g = standard_ugroup(Z3, [0])
     assert g.amul[(Address(0, 1), Address(0, 1))] == Address(0, 2)
     assert g.ainv[Address(0, 1)] == Address(0, 2)
-    assert sorted(a.offset for a in g.addr_set if a.alpha == 0) == [0, 1, 2]
-    assert not [a for a in g.addr_set if a.alpha == 7]
+    assert sorted(a.offset for a in g.addr.values() if a.alpha == 0) == [0, 1, 2]
+    assert not [a for a in g.addr.values() if a.alpha == 7]
 
 
 def test_cross_block_products_stay_untracked():
@@ -81,7 +84,7 @@ def test_cross_block_products_stay_untracked():
 
 def test_assignment_reproduces_the_standard_layout():
     std = standard_ugroup(Z3, [0, 1])
-    again = assign_addresses(std.node, [0, 1], {"b0": 0, "b1": 1})
+    again = assign_addresses(std.node, [0, 1])
     assert same_ugroup(std, again)
     assert again.word_at(Address(0, 0)) == EMPTY
 
@@ -90,10 +93,8 @@ def test_assignment_input_errors():
     node = standard_ugroup(Z3, [0, 1]).node
     with pytest.raises(SchemeError, match="must contain 0"):
         assign_addresses(node, [1, 2])
-    with pytest.raises(SchemeError, match="placement misses"):
-        assign_addresses(node, [0, 1], {"b0": 0})
-    with pytest.raises(SchemeError, match="outside the block set"):
-        assign_addresses(node, [0, 1], {"b0": 0, "b1": 9})
+    with pytest.raises(SchemeError, match="2 base copies but only 1 blocks"):
+        assign_addresses(node, [0])
     with pytest.raises(SchemeError, match="no tracked element realizes"):
         assign_addresses(node, [0, 1, 5])
 
@@ -176,7 +177,7 @@ def test_restrict_cuts_below_the_boundary():
     assert r.u == {0, 1}
     assert le(r, g)
     assert check_ugroup(r).ok
-    assert all(a.alpha < 2 for a in r.addr_set)
+    assert all(a.alpha < 2 for a in r.addr.values())
     with pytest.raises(SchemeError, match="at least 1"):
         restrict(g, 0)
 
@@ -290,7 +291,7 @@ def test_domain_step_extends_and_transports():
     assert out.u == {0, 1, 3}
     assert le(g, out)
     assert check_ugroup(out).ok
-    assert sorted(a.offset for a in out.addr_set if a.alpha == 3) == [0, 1]
+    assert sorted(a.offset for a in out.addr.values() if a.alpha == 3) == [0, 1]
     assert not out.standard and out.h is Z3
 
 
@@ -579,7 +580,7 @@ def test_tracked_words_match_the_per_kind_oracle():
     on a base node, an amalgam, a fresh HNN node whose registry lacks its
     letter, and a density move's tower over an infinite base."""
     fresh_hnn = HnnNode(BaseNode(fingrp.cyclic(6)),
-                        ExplicitAssoc([0, 3], [0, 3]))
+                        ExplicitShared([0, 3], [0, 3]))
     assert fresh_hnn.letter_word() not in fresh_hnn._rwords
     for node in (BaseNode(S3), standard_ugroup(Z3, [0, 1]).node, fresh_hnn,
                  density_output().node):
