@@ -7,17 +7,20 @@ Conjugation of x by g means g^-1 x g.
 
 The searches (homomorphism enumeration, automorphism groups, the suitability
 and localization checks) all enumerate candidate generator images filtered by
-element order.  A candidate is extended along a breadth-first spanning tree
-of the Cayley graph and rejected at the first off-tree edge (x, gen) where
-img[x gen] != img[x] img[gen]; agreement on every edge of the Cayley graph
-makes a candidate a homomorphism.  Automorphism groups keep their maps as
-rows of one array and compose and look them up a row at a time.  Costs are
-estimated up front against a budget so a hopeless search fails fast instead
-of spinning.
+element order, and the pairs of images of the first two generators also by
+the orders of their product and quotient.  A candidate is extended along a
+breadth-first spanning tree of the Cayley graph and rejected at the first
+off-tree edge (x, gen) where img[x gen] != img[x] img[gen]; agreement on
+every edge of the Cayley graph makes a candidate a homomorphism.
+Automorphism groups keep their maps as rows of one array and key each map
+by its images of a generating set, so the whole table is one gather and one
+sorted lookup.  Before each phase of a search its cost is checked against a
+budget, so a hopeless search fails fast instead of spinning.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -28,6 +31,9 @@ import numpy as np
 
 DEFAULT_BUDGET = 10**8
 PERM_EXPANSION_BOUND = 5040
+# the vectorised steps gather at most this many entries at once, a row block
+# at a time, so their peak memory does not grow with the search
+BLOCK_ENTRIES = 1 << 18
 
 
 class GroupError(Exception):
@@ -85,13 +91,12 @@ class FiniteGroup:
         raise GroupError("no identity element")
 
     def _build_inverses(self):
-        inv = np.empty(self.n, dtype=np.int32)
-        for a in range(self.n):
-            hits = np.nonzero(self.table[a] == self.identity)[0]
-            if len(hits) != 1:
-                raise GroupError(f"element {a} lacks a unique inverse")
-            inv[a] = hits[0]
-        return inv
+        hits = self.table == self.identity
+        bad = hits.sum(axis=1) != 1
+        if bad.any():
+            raise GroupError(f"element {int(np.argmax(bad))} lacks a unique "
+                             f"inverse")
+        return hits.argmax(axis=1).astype(np.int32)
 
     def __len__(self):
         return self.n
@@ -426,17 +431,54 @@ def _bfs_expressions(g: FiniteGroup, gens):
     return steps
 
 
+def _charge(ops: int, budget: int) -> None:
+    if ops > budget:
+        raise BudgetExceeded(
+            f"homomorphism search needs ~{ops} operations, budget {budget}")
+
+
+def _product_order_pairs(src, dst, gens, cands, dst_orders, injective):
+    """The pairs (a, b) in cands[0] x cands[1], in row-major (iproduct's)
+    order, that can be the images of gens[0] = g1 and gens[1] = g2.
+
+    A homomorphism sends g1 g2 to a b and g1 g2^-1 to a b^-1, so ord(a b)
+    divides ord(g1 g2) and ord(a b^-1) divides ord(g1 g2^-1); an injective
+    one keeps both orders.  The pairs are screened a row block at a time."""
+    g1, g2 = gens[0], gens[1]
+    want = np.array([[src.order_of(src.mul(g1, g2))],
+                     [src.order_of(src.mul(g1, src.inverse(g2)))]])
+    orders = np.asarray(dst_orders)
+    # fit[0][x]: x may be the image of g1 g2; fit[1][x]: of g1 g2^-1
+    fit = orders == want if injective else want % orders == 0
+    a, b = np.asarray(cands[0]), np.asarray(cands[1])
+    b_inv = dst.inv[b]
+    step = max(1, BLOCK_ENTRIES // len(b))
+    pairs = []
+    for lo in range(0, len(a), step):
+        rows = a[lo:lo + step, None]
+        i, j = np.nonzero(fit[0][dst.table[rows, b]]
+                          & fit[1][dst.table[rows, b_inv]])
+        pairs += zip(rows[i, 0].tolist(), b[j].tolist())
+    return pairs
+
+
 def enumerate_homs(src: FiniteGroup, dst: FiniteGroup, *, injective=False,
                    budget: Optional[int] = None):
     """Yield all homomorphisms src -> dst, in a deterministic order.
 
     Candidate generator images are filtered by element order (divisibility,
-    or equality when injective).  Each candidate is extended along the
+    or equality when injective), and with two or more generators the images
+    of the first two by the orders of their product and quotient (see
+    _product_order_pairs).  Each candidate is extended along the
     breadth-first tree of the Cayley graph and rejected at the first off-tree
     edge (x, gen) with img[x gen] != img[x] img[gen].  A survivor respects
     every edge: img[x gen] == img[x] img[gen] for all x and every generator,
     so by induction on the length of b as a word in the generators,
     img[x b] == img[x] img[b] for all x and b, and it is a homomorphism.
+
+    The budget is checked before each phase: the pair screen costs one
+    operation per candidate tuple, and the extension n * k per tuple that
+    survives it, for k generators of a source of order n.
     """
     if budget is None:
         budget = DEFAULT_BUDGET
@@ -455,13 +497,18 @@ def enumerate_homs(src: FiniteGroup, dst: FiniteGroup, *, injective=False,
         if not ok:
             return
         cands.append(ok)
-    total = 1
-    for c in cands:
-        total *= len(c)
-    estimate = total * src.n * src.n
-    if estimate > budget:
-        raise BudgetExceeded(
-            f"homomorphism search needs ~{estimate} operations, budget {budget}")
+    n, k = src.n, len(gens)
+    if k == 1:
+        choices, survivors = iproduct(*cands), len(cands[0])
+    else:
+        _charge(math.prod(len(c) for c in cands), budget)
+        choices = _product_order_pairs(src, dst, gens, cands, dst_orders,
+                                       injective)
+        survivors = len(choices) * math.prod(len(c) for c in cands[2:])
+        if k > 2:
+            choices = (pair + rest for pair in choices
+                       for rest in iproduct(*cands[2:]))
+    _charge(survivors * n * k, budget)
     steps = _bfs_expressions(src, gens)
     sT = src.table.tolist()
     dT = dst.table.tolist()
@@ -469,8 +516,7 @@ def enumerate_homs(src: FiniteGroup, dst: FiniteGroup, *, injective=False,
     edges = [(x, pos, sT[x][gen])
              for x in [src.identity] + [elem for elem, _, _ in steps]
              for pos, gen in enumerate(gens) if (x, pos) not in tree]
-    n = src.n
-    for choice in iproduct(*cands):
+    for choice in choices:
         img = [dst.identity] * n
         for elem, parent, pos in steps:
             img[elem] = dT[img[parent]][choice[pos]]
@@ -488,46 +534,72 @@ def enumerate_homs(src: FiniteGroup, dst: FiniteGroup, *, injective=False,
 class AutGroup(FiniteGroup):
     """Automorphism group of `source`; element i is the map self.maps[i].
 
-    The maps are the rows of one int32 array.  Table row i is one gather,
-    every map composed after maps[i], and each composite is found by an exact
-    match of the whole row against the maps in sorted order.
+    The maps are the rows of one int32 array, and must be homomorphisms.  A
+    homomorphism is fixed by its images of source.generating_set(), so each
+    map is keyed by those k images alone.  Maps i then j send the generators
+    to M[j][M[i][gens]]: the whole table is one gather of M at M[:, gens],
+    an (|Aut|, |Aut|, k) array built a row block at a time, and one sorted
+    lookup of its keys.
     """
 
     def __init__(self, source: FiniteGroup, maps):
         self.source = source
         self.maps = np.ascontiguousarray(maps, dtype=np.int32).reshape(
             -1, source.n)
-        # one opaque key per whole row, so rows sort and match as units
-        self._key = np.dtype((np.void, self.maps.itemsize * source.n))
-        keys = self.maps.view(self._key).ravel()
+        M = self.maps
+        rows = np.sort(M.view(np.dtype((np.void, M.itemsize * source.n)))
+                       .ravel())
+        if np.any(rows[1:] == rows[:-1]):
+            raise GroupError("automorphism list repeats a map")
+        # the trivial group has no generators; its one map fixes the identity
+        self._gens = list(source.generating_set()) or [source.identity]
+        k = len(self._gens)
+        # one opaque key per map's generator images, so they sort and match
+        # as units
+        self._key = np.dtype((np.void, M.itemsize * k))
+        images = M[:, self._gens]
+        keys = self._keys(images)
         self._order = np.argsort(keys, kind="stable")
         self._sorted = keys[self._order]
-        if np.any(self._sorted[1:] == self._sorted[:-1]):
-            raise GroupError("automorphism list repeats a map")
-        M = self.maps
+        same = np.flatnonzero(self._sorted[1:] == self._sorted[:-1])
+        if len(same):
+            i, j = sorted(self._order[same[0]:same[0] + 2].tolist())
+            raise GroupError(f"maps {i} and {j} agree on the generators but "
+                             f"differ, so they are not both homomorphisms")
         n = len(M)
         table = np.empty((n, n), dtype=np.int32)
-        for i in range(n):
-            table[i] = self._index_of(M[:, M[i]],
-                                       lambda j: f"map {i} then map {j}")
+        cols = np.arange(n)[:, None]
+        step = max(1, BLOCK_ENTRIES // (n * k))
+        for lo in range(0, n, step):
+            # entry (i, j, c) is maps lo + i then j at generator c
+            table[lo:lo + step] = self._index_of(
+                M[cols, images[lo:lo + step, None, :]],
+                lambda i, j: f"map {lo + i} then map {j}")
         super().__init__(table, name=f"aut({source.name})", check=False)
 
-    def _index_of(self, rows, what) -> np.ndarray:
-        """Index of the map equal to each row.  A row that is no map raises
-        GroupError, naming the first such row k by what(k)."""
-        keys = np.ascontiguousarray(rows, dtype=np.int32).view(self._key).ravel()
+    def _keys(self, images) -> np.ndarray:
+        return np.ascontiguousarray(images, dtype=np.int32).view(
+            self._key)[..., 0]
+
+    def _index_of(self, images, what) -> np.ndarray:
+        """Index of the map with each row of generator images (the last
+        axis).  Images of no map raise GroupError, naming the first such
+        row, in row-major order, by what(*its index)."""
+        keys = self._keys(images)
         pos = np.searchsorted(self._sorted, keys)
         pos[pos == len(self._sorted)] = 0
         hit = self._sorted[pos] == keys
         if not hit.all():
-            raise GroupError(f"{what(int(np.argmin(hit)))} is not among the maps")
+            at = np.unravel_index(int(np.argmin(hit)), hit.shape)
+            raise GroupError(f"{what(*map(int, at))} is not among the maps")
         return self._order[pos]
 
     def _inner_rows(self, gs) -> np.ndarray:
-        """Row k is conjugation by gs[k] as a map, x -> gs[k]^-1 x gs[k]."""
+        """Row k is conjugation by gs[k] on the generators,
+        gen -> gs[k]^-1 gen gs[k]."""
         T, inv = self.source.table, self.source.inv
         gs = np.asarray(gs)
-        return T[T[inv[gs]], gs[:, None]]
+        return T[T[inv[gs]][:, self._gens], gs[:, None]]
 
     def inner_embedding(self) -> GroupHom:
         src = self.source
@@ -717,8 +789,19 @@ def parse_group_text(text: str) -> FiniteGroup:
                      f"got {head!r}")
 
 def load_group(path: str) -> FiniteGroup:
-    with open(path) as fh:
-        return parse_group_text(fh.read())
+    """The group in a group file.  A path that cannot be read as text, a
+    directory say, is a GroupError naming it, which a scheme or hom parser
+    prefixes with its line."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise GroupError(f"cannot read group file {path}: "
+                         f"{exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise GroupError(f"cannot read group file {path}: not UTF-8 "
+                         f"text") from None
+    return parse_group_text(text)
 
 _BUILTINS = {
     "1": trivial, "triv": trivial, "q8": quaternion8,

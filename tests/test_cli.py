@@ -170,6 +170,23 @@ def test_group_check_out_of_range_entry_is_an_input_error(capsys, tmp_path):
     assert out == "error: table entries out of range\n"
 
 
+def test_group_spec_naming_a_directory_is_an_input_error(capsys, tmp_path):
+    (tmp_path / "sub").mkdir()
+    scheme = tmp_path / "d.scheme"
+    scheme.write_text("group g sub\nbase b g\n")
+    hom = tmp_path / "d.hom"
+    hom.write_text("hom h\nsrc sub\ndst z2\nmap 0\n")
+    sub = tmp_path / "sub"
+    for argv, msg in (
+            (["group", "check", f"{sub}/"],
+             f"cannot read group file {sub}/: Is a directory"),
+            (["word", "reduce", str(scheme), "f0:1"],
+             f"line 1: cannot read group file {sub}: Is a directory"),
+            (["group", "localization", "--eta", str(hom)],
+             f"line 2: cannot read group file {sub}: Is a directory")):
+        assert forge(capsys, *argv) == (EXIT_INPUT, f"error: {msg}\n")
+
+
 @pytest.mark.parametrize("argv,msg", [
     (("group", "aut", "z1000000"),
      "group z1000000 of order 1000000 exceeds expansion bound 5040"),
@@ -800,7 +817,7 @@ def test_budget_flag_reaches_a_scheme_hat_line(capsys, tmp_path):
                  ["sc", "tau", str(path), "--n", "1"]):
         code, out = forge(capsys, "--budget", "2", *argv)
         assert code == EXIT_UNDECIDED
-        assert out == ("error: line 2: homomorphism search needs ~2073600 "
+        assert out == ("error: line 2: homomorphism search needs ~576 "
                        "operations, budget 2\n")
 
 
@@ -1117,3 +1134,12 @@ def test_repeated_runs_are_byte_identical(forge_bin):
     second = subprocess.run(cmd, capture_output=True, env=env)
     assert first.returncode == EXIT_OK
     assert first.stdout == second.stdout
+
+
+def test_group_suitable_a6_under_the_default_budget(forge_bin):
+    prefix, env = forge_bin
+    r = subprocess.run([*prefix, "group", "suitable", "a6"],
+                       capture_output=True, text=True, env=env)
+    assert r.returncode == EXIT_OK
+    assert "aut-order: 1440" in r.stdout.splitlines()
+    assert "suitable: true" in r.stdout.splitlines()

@@ -9,6 +9,7 @@ plain per-candidate and per-pair loops they replace.
 """
 
 import math
+import random
 from itertools import permutations, product as iproduct
 
 import numpy as np
@@ -242,6 +243,40 @@ def test_budget_raises_and_subclasses():
         automorphism_group(alternating(5), budget=2)
 
 
+def oracle_inverse_error(table):
+    """The per-element scan that _build_inverses replaced: the message for
+    the first element whose row holds the identity other than once."""
+    identity = next(e for e in range(len(table))
+                    if list(table[e]) == list(range(len(table)))
+                    and [r[e] for r in table] == list(range(len(table))))
+    for a, row in enumerate(table):
+        if sum(v == identity for v in row) != 1:
+            return f"element {a} lacks a unique inverse"
+    return None
+
+
+@pytest.mark.parametrize("table", [
+    [[0, 1, 2], [1, 0, 0], [2, 0, 1]],     # row 1 holds the identity twice
+    [[0, 1, 2], [1, 2, 1], [2, 0, 0]],     # row 1 never; row 2 twice
+    [[0, 1, 2], [1, 2, 0], [2, 1, 1]],     # only the last row is bad
+    [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 1, 1], [3, 2, 1, 1]],
+])
+def test_inverse_error_names_the_first_bad_element(table):
+    want = oracle_inverse_error(table)
+    assert want is not None
+    with pytest.raises(GroupError) as err:
+        FiniteGroup(table, check=False)
+    assert str(err.value) == want
+
+
+def test_inverses_match_the_per_element_scan():
+    for spec in ("s4", "q8", "z2xz4", "d5"):
+        g = named_group(spec)
+        assert g.inv.tolist() == [
+            int(np.nonzero(g.table[a] == g.identity)[0][0])
+            for a in range(g.n)]
+
+
 def test_table_validation():
     with pytest.raises(GroupError):
         FiniteGroup([[0, 1], [1]])
@@ -315,6 +350,19 @@ def test_load_group_and_named_specs(tmp_path):
     assert named_group("1").n == 1
     with pytest.raises(GroupError):
         named_group("nosuchgroup99x")
+
+
+def test_load_group_names_a_path_it_cannot_read(tmp_path):
+    with pytest.raises(GroupError) as err:
+        load_group(str(tmp_path))
+    assert str(err.value) == (f"cannot read group file {tmp_path}: "
+                              f"Is a directory")
+    path = tmp_path / "bin.grp"
+    path.write_bytes(b"group g\xff\n")
+    with pytest.raises(GroupError) as err:
+        load_group(str(path))
+    assert str(err.value) == (f"cannot read group file {path}: not UTF-8 "
+                              f"text")
 
 
 # -- the table-driven searches against the loops they replace ---------------
@@ -416,8 +464,10 @@ def oracle_is_localization(eta):
     return fingrp.LocalizationReport(True, len(homs), len(endos), None)
 
 
-HOM_POOL = ["1", "z2", "z3", "z4", "z6", "z2xz2", "z2xz4", "z3xz3", "s3",
-            "d4", "q8", "a4", "s4"]
+# z2xz2xz2 needs three generators, so its candidates pass the pair screen
+# and then extend over the third generator's images
+HOM_POOL = ["1", "z2", "z3", "z4", "z6", "z2xz2", "z2xz4", "z3xz3",
+            "z2xz2xz2", "s3", "d4", "q8", "a4", "s4"]
 
 
 @pytest.mark.parametrize("src", HOM_POOL)
@@ -430,7 +480,55 @@ def test_enumerate_homs_matches_full_table_oracle(src):
             assert got == oracle_homs(h, g, injective), (src, dst, injective)
 
 
-@pytest.mark.parametrize("spec", ["s3", "d4", "q8", "a4", "s4", "a5"])
+@pytest.mark.parametrize("spec", ["a5", "s5"])
+def test_pruned_search_matches_oracle_on_simple_groups(spec):
+    # the product-order screen must keep every homomorphism and their order,
+    # into the group itself and into its automorphism group
+    h = named_group(spec)
+    for dst in (h, automorphism_group(h)):
+        for injective in (False, True):
+            got = [hom.img for hom in enumerate_homs(h, dst,
+                                                     injective=injective)]
+            assert got == oracle_homs(h, dst, injective), (
+                spec, dst.name, injective)
+
+
+def test_budget_is_checked_before_each_phase():
+    a5 = alternating(5)
+    # A5 -> A5 injectively: 24 x 24 candidate pairs of order-5 images, of
+    # which the screen keeps those whose products have the right orders
+    gens = a5.generating_set()
+    o_mul = a5.order_of(a5.mul(gens[0], gens[1]))
+    o_div = a5.order_of(a5.mul(gens[0], a5.inverse(gens[1])))
+    fives = [x for x in range(a5.n) if a5.order_of(x) == 5]
+    kept = sum(a5.order_of(a5.mul(x, y)) == o_mul
+               and a5.order_of(a5.mul(x, a5.inverse(y))) == o_div
+               for x in fives for y in fives)
+    assert (len(fives), kept) == (24, 120)
+    with pytest.raises(BudgetExceeded) as err:
+        list(enumerate_homs(a5, a5, injective=True, budget=575))
+    assert str(err.value) == ("homomorphism search needs ~576 operations, "
+                              "budget 575")
+    extension = kept * a5.n * len(gens)
+    with pytest.raises(BudgetExceeded) as err:
+        list(enumerate_homs(a5, a5, injective=True, budget=extension - 1))
+    assert str(err.value) == (f"homomorphism search needs ~{extension} "
+                              f"operations, budget {extension - 1}")
+    assert len(list(enumerate_homs(a5, a5, injective=True,
+                                   budget=extension))) == 120
+
+
+def test_row_blocks_do_not_change_results(monkeypatch):
+    groups = [named_group(spec) for spec in ("s4", "a5", "z2xz4")]
+    want = [([h.img for h in enumerate_homs(g, g)],
+             automorphism_group(g).table.tolist()) for g in groups]
+    monkeypatch.setattr(fingrp, "BLOCK_ENTRIES", 7)
+    got = [([h.img for h in enumerate_homs(g, g)],
+            automorphism_group(g).table.tolist()) for g in groups]
+    assert got == want
+
+
+@pytest.mark.parametrize("spec", ["s3", "d4", "q8", "a4", "s4", "a5", "s5"])
 def test_aut_table_matches_tuple_composition(spec):
     aut = automorphism_group(named_group(spec))
     maps = [tuple(int(v) for v in m) for m in aut.maps]
@@ -455,6 +553,59 @@ def test_aut_group_rejects_maps_not_closed_under_composition():
     inner = AutGroup(s3, [maps[0]])   # only the identity map
     with pytest.raises(GroupError, match="conjugation by"):
         inner.inner_embedding()
+
+
+def oracle_missing_composite(maps):
+    """The whole-row lookup AutGroup's table used before maps were keyed by
+    their generator images: the first (i, j), in row-major order, whose
+    composite map i then map j is none of the maps, or None."""
+    M = np.ascontiguousarray(maps, dtype=np.int32)
+    key = np.dtype((np.void, M.itemsize * M.shape[1]))
+    keys = np.sort(M.view(key).ravel())
+    for i in range(len(M)):
+        rows = np.ascontiguousarray(M[:, M[i]]).view(key).ravel()
+        pos = np.searchsorted(keys, rows)
+        pos[pos == len(keys)] = 0
+        hit = keys[pos] == rows
+        if not hit.all():
+            return i, int(np.argmin(hit))
+    return None
+
+
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("spec", ["s3", "d4", "s4", "a5"])
+def test_missing_composite_names_the_whole_row_witness(spec, block,
+                                                       monkeypatch):
+    g = named_group(spec)
+    maps = [tuple(m) for m in automorphism_group(g).maps.tolist()]
+    if block:
+        monkeypatch.setattr(fingrp, "BLOCK_ENTRIES", block)
+    rng = random.Random(spec)
+    missing = 0
+    for _ in range(8):
+        sub = rng.sample(maps, rng.randint(2, len(maps) - 1))
+        want = oracle_missing_composite(sub)
+        if want is None:   # a subgroup: the table builds
+            assert AutGroup(g, sub).n == len(sub)
+            continue
+        missing += 1
+        with pytest.raises(GroupError) as err:
+            AutGroup(g, sub)
+        assert str(err.value) == (f"map {want[0]} then map {want[1]} is not "
+                                  f"among the maps")
+    assert missing
+
+
+def test_aut_group_rejects_maps_that_agree_on_the_generators():
+    s3 = symmetric(3)
+    gens = s3.generating_set()
+    a, b = [x for x in range(s3.n) if x != s3.identity and x not in gens][:2]
+    swapped = list(range(s3.n))
+    swapped[a], swapped[b] = b, a
+    with pytest.raises(GroupError) as err:
+        AutGroup(s3, [tuple(range(s3.n)), tuple(swapped)])
+    assert str(err.value) == ("maps 0 and 1 agree on the generators but "
+                              "differ, so they are not both homomorphisms")
 
 
 # s3xs3 has a second copy of itself in its automorphism group, which
