@@ -291,17 +291,55 @@ class Node:
         only until one of its syllables of a kind in `_settling` is appended
         unchanged; the rest of that right then appends unchanged, so it is
         copied.
+
+        A run of copies of one right (the same object) is pushed a copy at a
+        time until two consecutive copies each pop the list down by the same
+        depth d and append the same segment s, with len(s) >= d + `_reach`.
+        The remaining copies then append as list repeats.  This is exact: a
+        push that pops the list down to length `low` reads only
+        out[low - _reach:], which here lies inside the s the copy before it
+        appended, so every later copy pops d and appends s again.
         """
         out = list(left)
         push = self._push
         for syl in mid:
             push(out, syl)
         settling = self._settling
-        for right in rights:
+        reach = self._reach
+        count = len(rights)
+        k = 0
+        while k < count:
+            right = rights[k]
+            k += 1
             for i, syl in enumerate(right):
                 if push(out, syl) and syl[0] in settling:
                     out.extend(right[i + 1:])
                     break
+            if not reach or k == count or rights[k] is not right:
+                continue
+            last = None
+            while k < count and rights[k] is right:
+                k += 1
+                # every push pops first and appends at most one syllable
+                # last, so the list never drops below its final length - 1
+                start = low = len(out)
+                for i, syl in enumerate(right):
+                    settled = push(out, syl) and syl[0] in settling
+                    low = min(low, max(len(out) - 1, 0))
+                    if settled:
+                        out.extend(right[i + 1:])
+                        break
+                step = (start - low, out[low:])
+                if step == last and len(step[1]) >= step[0] + reach:
+                    end = k
+                    while end < count and rights[end] is right:
+                        end += 1
+                    depth, seg = step
+                    at = len(out) - depth
+                    out[at:at] = seg[:len(seg) - depth] * (end - k)
+                    k = end
+                    break
+                last = step
         return W.reduced(out, self.serial)
 
     def canonical(self, w) -> SyllableWord:
@@ -450,8 +488,10 @@ class BaseNode(Node):
     def canonical(self, w) -> SyllableWord:
         return self.reduce(w)
 
-    # a reduced word is one syllable at most, and each push multiplies into it
+    # a reduced word is one syllable at most, and each push multiplies into
+    # it; a reach of 0 turns off splice's run shortcut
     _settling = ()
+    _reach = 0
 
     def _push(self, out, syl) -> bool:
         acc = self.group.mul(out.pop()[2], syl[2]) if out else syl[2]
@@ -502,8 +542,10 @@ class AmalgamNode(Node):
         return self.splice(EMPTY, w)
 
     # once a syllable of a reduced word appends unchanged, the next one is on
-    # the other side and outside the shared subgroup, so it appends too
+    # the other side and outside the shared subgroup, so it appends too; a
+    # push reads one syllable below the last one it pops
     _settling = (FACTOR,)
+    _reach = 1
 
     def _push(self, out, syl) -> bool:
         """Push one syllable onto the reduced list `out`; True when it is
@@ -535,6 +577,10 @@ class AmalgamNode(Node):
 
     def canonical(self, w) -> SyllableWord:
         r = self.reduce(w)
+        if len(self._bound.pairs) == 1:
+            # the shared subgroup is trivial, so every coset is one element
+            # and a reduced word is canonical
+            return r
         if len(r) <= 1:
             # single shared syllables live on the left by convention
             if r and r[0][1] == 1 and self._bound.member(1, r[0][2]):
@@ -641,8 +687,10 @@ class HnnNode(Node):
         return self.splice(EMPTY, w)
 
     # a base syllable appended unchanged can still pinch with the letter
-    # after it; a stable letter appended unchanged ends every pinch
+    # after it; a stable letter appended unchanged ends every pinch.  A push
+    # reads two syllables below the last one it pops (a pinch t^-1 a)
     _settling = (LETTER,)
+    _reach = 2
 
     def _push(self, out, syl) -> bool:
         """Push one syllable onto the reduced list `out`; True when it is

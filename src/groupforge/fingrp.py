@@ -64,6 +64,7 @@ class FiniteGroup:
             self._validate()
         self.identity = self._find_identity()
         self.inv = self._build_inverses()
+        self._generators: Optional[tuple] = None
 
     def _validate(self):
         n = self.n
@@ -195,7 +196,13 @@ class FiniteGroup:
         return tuple(sorted(seen))
 
     def generating_set(self) -> tuple:
-        """Small generating set, greedily by descending element order."""
+        """Small generating set, greedily by descending element order.  The
+        table never changes, so it is found once per group."""
+        if self._generators is None:
+            self._generators = self._find_generators()
+        return self._generators
+
+    def _find_generators(self) -> tuple:
         if self.n == 1:
             return ()
         ranked = sorted(range(self.n), key=lambda a: (-self.order_of(a), a))

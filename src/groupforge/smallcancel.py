@@ -12,13 +12,15 @@ end fuzz makes the metric stable under the carry moves that relate different
 reduced spellings of the same element.
 
 Both searches over span lengths (the piece metric and the decision
-procedure's relator match) find candidate spans by int64 keys.  Every class
-id gets a system-wide integer code; a span's key packs two polynomial
-fingerprints of its codes (left class, exact interior, right class), each
-modulo a prime below 2^31, computed for all spans of one length at once from
-prefix sums.  Equal signatures always give equal keys; a key hit is only a
-candidate, and every one is verified syllable by syllable against the exact
-classes before it counts, so a fingerprint collision cannot change a result.
+procedure's relator match) find candidate spans by uint64 keys.  Every class
+id gets a system-wide integer code; a span's key is one polynomial
+fingerprint of its codes (left class, exact interior, right class) in an odd
+base, wrapping modulo 2^64, computed for all spans of one length at once from
+prefix sums and the base's inverse powers (Karp & Rabin).  Equal signatures
+always give equal keys; a key hit is only a candidate, and every one is
+verified syllable by syllable against the exact classes before it counts, so
+a fingerprint collision cannot change a result.  (Collisions do happen: a
+modulus of 2^64 is blind to Thue-Morse-like code sequences.)
 
 The decision procedure repeatedly replaces a matched relator portion longer
 than half that relator by the inverse of its complement, which strictly
@@ -41,9 +43,8 @@ from . import words as W
 from .amalgam import AmalgamNode, Node, SchemeError, shared_pairing
 from .words import EMPTY, FACTOR, SyllableWord
 
-# (prime modulus, base) of the two span fingerprints; a modulus below 2^31
-# keeps every product of two residues inside int64
-_FINGERPRINTS = ((2_147_483_647, 1_000_003), (2_147_483_629, 998_244_353))
+# odd base of the span fingerprint, so it is invertible modulo 2^64
+_BASE = 0x9E3779B97F4A7C15
 
 # longest conjugator, in syllables, that the malnormality probe draws
 MAX_CONJUGATOR_LEN = 5
@@ -137,21 +138,25 @@ class RelatorSystem:
         return got
 
     def _arrays_for(self, w):
-        """The doubled int64 class codes and the fingerprint prefix sums for
-        a nonempty cyclic word.  Each distinct syllable is classified
-        once."""
+        """The doubled int64 class codes, the uint64 fingerprint prefix sums
+        and the base's inverse powers for a nonempty cyclic word.  Each
+        distinct syllable is classified once."""
         index: dict = {}
-        at = [index.setdefault(syl, len(index)) for syl in w]
+        at = np.array([index.setdefault(syl, len(index)) for syl in w])
         codes = np.array([self._class_of(syl)[1] for syl in index],
                          dtype=np.int64)
-        ecode, lcode, rcode, dcode = codes.T.take(at * 2, axis=1)
+        ecode, lcode, rcode, dcode = codes.T.take(np.concatenate((at, at)),
+                                                  axis=1)
         # pref[k] = sum of ecode[j] * base^j over j < k, and inv[j] = base^-j,
-        # so (pref[s + m] - pref[s]) * inv[s] fingerprints the m codes from s
-        pref, inv = [], []
-        for mod, base in _FINGERPRINTS:
-            terms = ecode * _powers(base, mod, len(ecode)) % mod
-            pref.append(np.concatenate([[0], np.cumsum(terms) % mod]))
-            inv.append(_powers(pow(base, mod - 2, mod), mod, len(ecode)))
+        # so (pref[s + m] - pref[s]) * inv[s - 1] is the fingerprint of the m
+        # codes from s, shifted up one power; uint64 arrays wrap modulo 2^64
+        steps = np.empty((2, len(ecode)), dtype=np.uint64)
+        steps[:, 0] = 1
+        steps[0, 1:] = _BASE
+        steps[1, 1:] = pow(_BASE, -1, 1 << 64)
+        powers, inv = np.cumprod(steps, axis=1)
+        pref = np.zeros(len(ecode) + 1, dtype=np.uint64)
+        np.cumsum(ecode.view(np.uint64) * powers, out=pref[1:])
         return {"ecode": ecode, "lcode": lcode, "rcode": rcode,
                 "dcode": dcode, "pref": pref, "inv": inv, "n": len(w)}
 
@@ -181,26 +186,15 @@ class RelatorSystem:
         return rep
 
 
-def _powers(base, mod, count):
-    """base^j mod `mod` for j < count, as int64, by doubling."""
-    out = np.ones(count, dtype=np.int64)
-    size = 1
-    while size < count:
-        step = min(size, count - size)
-        out[size:size + step] = out[:step] * pow(base, size, mod) % mod
-        size += step
-    return out
-
-
 def _keys(arrays, L, at):
-    """int64 keys of the spans of length L starting at the offsets `at`: an
+    """uint64 keys of the spans of length L starting at the offsets `at`: an
     int64 array of offsets, or a count for the offsets 0 .. at-1 (read by
     slicing, which costs about half as much as gathering every offset).
 
     A span's signature is its double-coset class when L == 1, else its left
     class, exact interior and right class; equal signatures give equal
-    keys.  For L >= 2 the key packs one fingerprint per prime of the
-    sequence (left code, interior codes, right code)."""
+    keys.  For L >= 2 the key is the fingerprint of the sequence (left code,
+    interior codes, right code), wrapping modulo 2^64."""
     if isinstance(at, int):
         def shift(d):
             return slice(d, d + at)
@@ -208,17 +202,12 @@ def _keys(arrays, L, at):
         def shift(d):
             return at + d
     if L == 1:
-        return arrays["dcode"][shift(0)]
-    left = arrays["lcode"][shift(0)]
-    right = arrays["rcode"][shift(L - 1)]
-    first, last = shift(1), shift(L - 1)
-    key = 0
-    for (mod, base), pref, inv in zip(_FINGERPRINTS, arrays["pref"],
-                                      arrays["inv"]):
-        inner = (pref[last] - pref[first]) % mod * inv[first] % mod
-        top = pow(base, L - 1, mod)
-        key = key << 31 | (left + inner * base % mod + right * top % mod) % mod
-    return key
+        return arrays["dcode"][shift(0)].view(np.uint64)
+    pref = arrays["pref"]
+    inner = (pref[shift(L - 1)] - pref[shift(1)]) * arrays["inv"][shift(0)]
+    top = np.uint64(pow(_BASE, L - 1, 1 << 64))
+    return (arrays["lcode"][shift(0)].view(np.uint64) + inner
+            + arrays["rcode"][shift(L - 1)].view(np.uint64) * top)
 
 
 def _longest(top, probe):
@@ -301,14 +290,20 @@ def max_piece(system: RelatorSystem) -> MetricReport:
         kept = repeats[np.minimum(np.searchsorted(repeats, keys),
                                   len(repeats) - 1)] == keys
         rel, off, keys = rel[kept], off[kept], keys[kept]
-        _, first, group = np.unique(keys, return_index=True,
-                                    return_inverse=True)
-        span = list(zip(rel.tolist(), off.tolist()))
-        # candidates: spans whose key already occurred earlier in scan order
-        for j in np.flatnonzero(first[group] < np.arange(len(keys))).tolist():
-            rj, p = span[j]
-            for i in np.flatnonzero(group[:j] == group[j]).tolist():
-                qi, q = span[i]
+        # spans by key, each key's spans in scan order: the k-th one's
+        # earlier spans with its key are order[lead[k]:k]
+        order = np.argsort(keys, kind="stable")
+        ranked = keys[order]
+        head = np.concatenate(([True], ranked[1:] != ranked[:-1]))
+        lead = np.maximum.accumulate(np.where(head, np.arange(len(keys)), 0))
+        # candidates: spans whose key already occurred earlier in scan order,
+        # taken in scan order
+        later = np.flatnonzero(~head)
+        for k in later[np.argsort(order[later])].tolist():
+            j = order[k]
+            rj, p = int(rel[j]), int(off[j])
+            for i in order[lead[k]:k].tolist():
+                qi, q = int(rel[i]), int(off[i])
                 if _verify_fuzzy(arrays[qi], q, arrays[rj], p, L):
                     return (((qi, q), (rj, p)),
                             [(ri, off[rel == ri]) for ri, _ in live])

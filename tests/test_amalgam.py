@@ -299,6 +299,97 @@ def test_junction_waits_for_a_stable_letter_to_pinch():
     assert node.mul_words(u, v) == node.reduce(W.concat(u, v, node.ops))
 
 
+RUN_NODES = {"amalgam": z6_pair, "twisted": lambda: z6_pair(twist=True),
+             "s3xz2": s3xz2_pair, "hnn": z6_hnn, "hnn-twisted": z6_hnn_twisted,
+             "base": lambda: BaseNode(fingrp.cyclic(6))}
+
+
+def run_words(node, max_len):
+    if isinstance(node, BaseNode):
+        return st.lists(st.tuples(st.just(FACTOR), st.just(0),
+                                  st.integers(0, node.group.n - 1)),
+                        max_size=max_len).map(SyllableWord)
+    return node_words(node, max_len)
+
+
+def counted_splice(node, *parts):
+    """node.splice(*parts) and the number of syllable pushes it made."""
+    calls = []
+    push = node._push
+
+    def counted(out, syl):
+        calls.append(syl)
+        return push(out, syl)
+
+    node._push = counted
+    try:
+        return node.splice(*parts), len(calls)
+    finally:
+        del node._push
+
+
+@pytest.mark.parametrize("name", sorted(RUN_NODES))
+def test_splice_runs_equal_the_per_copy_fold(name):
+    """Runs of one repeated part (the same object) splice to the per-copy
+    fold, word for word and tag for tag.  The parts are short drawn words
+    (single syllables among them), the inverse of one of them, which a
+    junction swallows whole, and the runs carry and pinch at their
+    junctions.  The run shortcut is taken on some draws, never at a base
+    node, and some draws are shorter than their parts written out."""
+    node = RUN_NODES[name]()
+    words = run_words(node, 4)
+    shortcut, shrunk = [], []
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def check(data):
+        pool = [node.reduce(data.draw(words)) for _ in range(3)]
+        pool.append(node.invert_word(pool[0]))
+        runs = data.draw(st.lists(st.tuples(st.integers(0, len(pool) - 1),
+                                            st.integers(1, 9)),
+                                  min_size=1, max_size=5))
+        left = node.reduce(data.draw(words))
+        rights = [pool[i] for i, count in runs for _ in range(count)]
+        copies = [list(part) for part in rights]
+        got, run_pushes = counted_splice(node, left, EMPTY, *rights)
+        want, fold_pushes = counted_splice(node, left, EMPTY, *copies)
+        assert got == want
+        assert type(got) is type(want) and got.at == want.at == node.serial
+        written = list(left) + [syl for part in rights for syl in part]
+        assert want == node.reduce(SyllableWord(written))
+        shortcut.append(run_pushes < fold_pushes)
+        shrunk.append(len(got) < len(written))
+
+    check()
+    assert any(shortcut) == (name != "base")
+    assert any(shrunk)
+
+
+@pytest.mark.parametrize("name,text,settles", [
+    ("s3xz2", "f0:2 f1:2 f0:4", True),
+    ("hnn", "t f0:1 t^-1 t^-1", True),
+    ("amalgam", "f0:1 f1:3 f0:1", False),
+    ("amalgam", "f1:1", False)])
+def test_splice_run_settles_only_on_a_steady_junction(name, text, settles):
+    """Twelve copies of one part.  Over S3 x Z2 each junction merges f0:4
+    f0:2 into one syllable, and over the Z6 HNN node each junction cancels
+    t^-1 t; both settle after three copies and repeat the rest.  Over Z6 *
+    Z6 glued along the evens, f0:1 f1:3 f0:1 carries a shared f0:2 into the
+    copy before it, and a single syllable merges into the one before it;
+    neither junction repeats itself, so every copy is pushed."""
+    node = RUN_NODES[name]()
+    letter = f"t{getattr(node, 'letter', '')}"
+    part = node.reduce(node.parse(text.replace("t", letter)))
+    got, pushes = counted_splice(node, EMPTY, EMPTY, *[part] * 12)
+    assert got == node.reduce(SyllableWord(list(part) * 12))
+    assert node._holds(got)
+    _, fold_pushes = counted_splice(node, EMPTY, EMPTY,
+                                    *[list(part) for _ in range(12)])
+    assert (pushes < fold_pushes) == settles
+    if not settles:
+        assert pushes == fold_pushes
+
+
 @pytest.mark.parametrize("name", sorted(JUNCTION_NODES))
 def test_tags_follow_reduction_and_inversion_only(name):
     node = JUNCTION_NODES[name]
@@ -603,6 +694,64 @@ def random_word(node, pools, rng, length):
             side = rng.randrange(len(pools))
             syls.append((FACTOR, side, rng.choice(pools[side])))
     return SyllableWord(syls)
+
+
+def per_syllable_canonical(node, w):
+    """AmalgamNode.canonical with its coset rewrite run on every syllable,
+    the shared subgroup trivial or not."""
+    r = node.reduce(w)
+    if len(r) <= 1:
+        if r and r[0][1] == 1 and node._bound.member(1, r[0][2]):
+            return W.reduced([(FACTOR, 0, node._bound.convert(1, r[0][2]))],
+                             node.serial)
+        return r
+    syls = list(r)
+    for i in range(len(syls) - 1, 0, -1):
+        side, elem = syls[i][1], syls[i][2]
+        rep, carry = node._coset_data(side, elem)
+        if node.factors[side].is_identity_elem(carry):
+            continue
+        syls[i] = (FACTOR, side, rep)
+        oside = 1 - side
+        syls[i - 1] = (FACTOR, oside, node.factors[oside].mul_elem(
+            syls[i - 1][2], node._bound.convert(side, carry)))
+    return W.reduced(syls, node.serial)
+
+
+def tower_amalgams(node):
+    out, todo = [], [node]
+    while todo:
+        n = todo.pop()
+        if isinstance(n, AmalgamNode):
+            out.append(n)
+        if n.kind != "base":
+            todo.extend(n.factors)
+    return out
+
+
+@pytest.mark.parametrize("name,blocks", [("z3", [0, 1, 2, 3]),
+                                         ("s3", [0, 2, 5]),
+                                         ("a4", [0, 1, 3])])
+def test_canonical_over_a_trivial_shared_subgroup_is_the_reduced_word(
+        name, blocks):
+    """Every amalgam of a standard tower has a trivial shared subgroup, so
+    canonical returns the reduced word without a coset scan.  It equals the
+    per-syllable coset rewrite, tag included, and interns the same elements
+    (none), at every amalgam of the tower."""
+    fast = universe.standard_ugroup(fingrp.named_group(name), blocks).node
+    slow = copy.deepcopy(fast)
+    rng = random.Random(7)
+    for f, s in zip(tower_amalgams(fast), tower_amalgams(slow)):
+        assert len(f._bound.pairs) == 1
+        pools = [list(range(fac.elem_count() or len(fac._rwords)))
+                 for fac in f.factors]
+        for _ in range(150):
+            w = random_word(f, pools, rng, rng.randrange(1, 9))
+            got, want = f.canonical(w), per_syllable_canonical(s, w)
+            assert got == want and got.at == f.serial == want.at
+        assert tower_registries(fast) == tower_registries(slow)
+        assert not f._cosets and s._cosets   # the skip scanned no coset
+    assert len(tower_amalgams(fast)) == len(blocks) - 1
 
 
 @pytest.mark.parametrize("make", [

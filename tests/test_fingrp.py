@@ -203,6 +203,27 @@ def test_generating_set_generates():
         assert len(g.subgroup_closure(gens)) == g.n
 
 
+def test_generating_set_is_found_once_per_group(monkeypatch):
+    """The memoised tuple is the one a fresh group finds, and a suitability
+    check, which asks three times, finds it once."""
+    found = []
+    find = FiniteGroup._find_generators
+
+    def spy(self):
+        found.append(self)
+        return find(self)
+
+    monkeypatch.setattr(FiniteGroup, "_find_generators", spy)
+    for g in (symmetric(4), quaternion8(), cyclic(12), alternating(5)):
+        gens = g.generating_set()
+        assert g.generating_set() is gens
+        assert gens == FiniteGroup(g.table, name=g.name).generating_set()
+    h = alternating(5)
+    found.clear()
+    assert is_suitable(h).ok
+    assert sum(g is h for g in found) == 1
+
+
 def test_completeness_verdicts():
     assert is_complete(symmetric(3)).ok
     assert is_complete(symmetric(5)).ok

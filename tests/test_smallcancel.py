@@ -3,7 +3,7 @@ decision procedure, and the membership obstruction.
 
 The fast piece scan is cross-checked against a quadratic common-prefix oracle
 over the explicit symmetrized closure, and the headline numbers are frozen so
-a regression in either route shows up as a plain value mismatch.  The int64
+a regression in either route shows up as a plain value mismatch.  The uint64
 span-key matcher is also compared, witness for witness, with the tuple-and-dict
 bucket scan it replaced.
 """
@@ -70,7 +70,7 @@ def tau_system(n1, n2, n):
 # -- the matcher's oracle: tuple signatures in dict buckets --------------------
 
 def oracle_signature(arr, p, L):
-    """The span signature the matcher's int64 keys stand for, spelled out."""
+    """The span signature the matcher's uint64 keys stand for, spelled out."""
     if L == 1:
         return ("d", int(arr["dcode"][p]))
     return (int(arr["lcode"][p]),
@@ -330,19 +330,72 @@ def test_max_piece_matches_the_bucket_oracle(monkeypatch, name, collide):
     assert any(narrowed)
 
 
+def thue_morse_system():
+    """One relator over Z5 * Z7 of 2^11 syllables alternating factors, the
+    j-th one element 1 + t_j of its factor, t the Thue-Morse sequence."""
+    node = free_product(5, 7)
+    return RelatorSystem(node, [SyllableWord(
+        [(FACTOR, j % 2, 1 + bin(j).count("1") % 2) for j in range(2 ** 11)])])
+
+
+def test_thue_morse_codes_collide_and_verification_settles_them(monkeypatch):
+    """Polynomial keys modulo 2^64 collide on Thue-Morse-like code
+    sequences: the relator's two halves are complementary, so their spans
+    have different signatures and one key.  Every key hit is verified, so
+    the piece, the matches and the decisions stay the bucket oracles'."""
+    system = thue_morse_system()
+    arr = system._relator_arrays()[0]
+    half = arr["n"] // 2
+    keys = smallcancel._keys(arr, half, arr["n"])
+    assert keys[0] == keys[half]
+    assert oracle_signature(arr, 0, half) != oracle_signature(arr, half, half)
+
+    verify, rejected = smallcancel._verify_fuzzy, []
+
+    def spy(arr1, p, arr2, q, L):
+        ok = verify(arr1, p, arr2, q, L)
+        if not ok:
+            rejected.append(L)
+        return ok
+
+    monkeypatch.setattr(smallcancel, "_verify_fuzzy", spy)
+    rep = max_piece(system)
+    assert (rep.max_piece, rep.witness) == oracle_max_piece(system)
+    assert half in rejected
+
+    # the relator is far from C'(1/10); the rewriting runs at any bound
+    bound = Fraction(1)
+    words = sample_words(system, random.Random(2))
+    want = [greendlinger_decide(system, w, bound=bound) for w in words]
+    matched = []
+
+    def checked(system, w):
+        got = oracle_best_match(system, w)
+        assert _best_match(system, w) == got
+        matched.append(got)
+        return got
+
+    monkeypatch.setattr(smallcancel, "_best_match", checked)
+    got = [greendlinger_decide(system, w, bound=bound) for w in words]
+    assert got == want
+    assert {v.status for v in got} >= {"member", "nonmember"}
+    assert any(m is not None and m[0] == 1 for m in matched)
+    for w, v in zip(words, got):
+        if v.status == "member":
+            assert replay_trace(system, w, v)
+
+
 def oracle_arrays(system, w):
     """`_arrays_for` by one class lookup per syllable and Python-int
-    fingerprint sums."""
+    fingerprint sums modulo 2^64."""
     got = [system._class_of(syl) for syl in w]
     ecode, lcode, rcode, dcode = (list(codes) * 2
                                   for codes in zip(*(g[1] for g in got)))
-    pref, inv = [], []
-    for mod, base in smallcancel._FINGERPRINTS:
-        sums = [0]
-        for j, c in enumerate(ecode):
-            sums.append((sums[-1] + c * pow(base, j, mod)) % mod)
-        pref.append(sums)
-        inv.append([pow(base, -j, mod) for j in range(len(ecode))])
+    mod, base = 1 << 64, smallcancel._BASE
+    pref = [0]
+    for j, c in enumerate(ecode):
+        pref.append((pref[-1] + c * pow(base, j, mod)) % mod)
+    inv = [pow(base, -j, mod) for j in range(len(ecode))]
     return {"ecode": ecode, "lcode": lcode, "rcode": rcode, "dcode": dcode,
             "pref": pref, "inv": inv, "n": len(w)}
 
